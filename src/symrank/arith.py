@@ -1,8 +1,9 @@
 """Exact rational arithmetic and the q-series building blocks.
 
-Everything here is exact: values are `fractions.Fraction` throughout, and
-the only non-point result is `BoundedValue`, a rigorous rational enclosure
-used for infinite products and limits.
+Everything here is exact: values are `fractions.Fraction`, or `ZInvP`
+pairs inside the route kernels, and the only non-point result is
+`BoundedValue`, a rigorous rational enclosure used for infinite products
+and limits.
 """
 
 from __future__ import annotations
@@ -73,6 +74,67 @@ class BoundedValue:
     def complement_from_one(self) -> "BoundedValue":
         """Enclosure of 1 - x for x in this interval."""
         return BoundedValue(1 - self.upper, 1 - self.lower)
+
+
+class ZInvP:
+    """Gcd-free exact arithmetic in Z[1/p], the ring every P(n, p**mu) lies in.
+
+    A value is a pair (num, exp) meaning num / p**exp, for any integer exp.
+    A sum aligns exponents by multiplying the term with the smaller exp by
+    p**diff, so no gcd is taken until `fraction` builds the one Fraction a
+    route returns.  Powers p**e are cached for e < POW_CACHE only: a cache of
+    every power up to E would hold O(E**2) bits.
+    """
+
+    POW_CACHE = 1024
+    ZERO = (0, 0)
+    ONE = (1, 0)
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self._pows = [1]
+
+    def pow(self, e: int) -> int:
+        """p**e for e >= 0."""
+        pows = self._pows
+        if e < len(pows):
+            return pows[e]
+        if e >= self.POW_CACHE:
+            return self.p**e
+        x = pows[-1]
+        while len(pows) <= e:
+            x *= self.p
+            pows.append(x)
+        return x
+
+    def add(self, *terms: tuple[int, int]) -> tuple[int, int]:
+        exp = None
+        for num, e in terms:
+            if num and (exp is None or e > exp):  # a zero must not raise the exponent
+                exp = e
+        if exp is None:
+            return self.ZERO
+        total = 0
+        for num, e in terms:
+            if num:
+                total += num if e == exp else num * self.pow(exp - e)
+        return total, exp
+
+    def div_one_minus_q(self, x: tuple[int, int], j: int) -> tuple[int, int]:
+        """x / (1 - q**j) for q = 1/p and j >= 1, by exact integer division;
+        raises ArithmeticError when the quotient is not in Z[1/p]."""
+        num, exp = x
+        quot, rem = divmod(num, self.pow(j) - 1)
+        if rem:
+            raise ArithmeticError(f"x / (1 - q**{j}) is not in Z[1/{self.p}]")
+        return quot, exp - j
+
+    def fraction(self, x: tuple[int, int]) -> Fraction:
+        """x in lowest terms: the one gcd of a route."""
+        num, exp = x
+        if exp <= 0:
+            return Fraction(num * self.pow(-exp))
+        return Fraction(num, self.pow(exp))
 
 
 def pochhammer(n: int, q: Fraction) -> Fraction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import ZInvP, is_prime
 
 # a truncated power series is just its coefficient list, index = exponent
 PowerSeries = list[Fraction]
@@ -165,12 +165,38 @@ def gf(n: int, q: Fraction) -> RationalFunction:
 
 
 def coefficient(n: int, p: int, mu: int) -> Fraction:
-    """P(n, p**mu) extracted as the x^mu series coefficient of G_n."""
+    """P(n, p**mu) as the x^mu coefficient of G_n, from the closed form
+    truncated at x^mu: x (1-qx^2) / ((1-x)(1-qx)) * prod_{j=0..k} 1/(1-q^(2j+1) x^2)
+    is expanded gcd-free in Z[1/p], then scaled by prod_{j=0..k} (1-q^(2j+1)).
+    For even n the (1-q^(2k+1) x) / (1-q^(2k+1)) factor cancels the j = k
+    term of that scalar."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    return series(gf(n, Fraction(1, p)), mu)[mu]
+    if mu == 0:
+        return Fraction(0)
+    z = ZInvP(p)
+    k = n // 2
+    s = [z.ZERO] * (mu + 1)
+    s[1] = z.ONE
+    if mu >= 3:
+        s[3] = (-1, 1)  # x - q x^3
+    # divide by 1-x, by 1-qx and by each 1-q^(2j+1) x^2: s[m] += q^t s[m-d]
+    for d, t in [(1, 0), (1, 1)] + [(2, 2 * j + 1) for j in range(k + 1)]:
+        for m in range(d, mu + 1):
+            a, e = s[m - d]
+            s[m] = z.add(s[m], (a, e + t))
+    top = k + n % 2
+    num, exp = s[mu]
+    if n % 2 == 0:
+        a, e = s[mu - 1]
+        num, exp = z.add((num, exp), (-a, e + 2 * k + 1))
+    for j in range(top):
+        num *= z.pow(2 * j + 1) - 1
+    return z.fraction((num, exp + top * top))
 
 
 def verify_functional_eq(n: int, q: Fraction, order: int = 0) -> bool:

@@ -11,11 +11,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import factorize
 from .symmat import SymMatrix, classify_case, det_mod, m_rank, random_symmetric
+
+if TYPE_CHECKING:  # numpy is imported where it is used, so the exact routes never load it
+    import numpy as np
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV = "SYMRANK_BUDGET"
@@ -136,6 +138,8 @@ def _fits_int64(n: int, m: int) -> bool:
 def _det_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (B, n, n) integer batch by fraction-free
     elimination; row swaps are resolved per batch element."""
+    import numpy as np
+
     B, n, _ = mats.shape
     if n == 0:
         return np.ones(B, dtype=mats.dtype)
@@ -171,6 +175,8 @@ def _det_batch(mats: np.ndarray) -> np.ndarray:
 
 def _triangle_index(n: int) -> np.ndarray:
     """(n, n) map from matrix position to packed-triangle offset."""
+    import numpy as np
+
     idx = np.zeros((n, n), dtype=np.int64)
     pos = 0
     for i in range(n):
@@ -199,6 +205,8 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
         raise ValueError("m must be >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    import numpy as np
+
     free = n * (n + 1) // 2
     idx = _triangle_index(n)
     use_i64 = _fits_int64(n, m)

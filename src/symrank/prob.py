@@ -9,12 +9,13 @@ coprime factors of m.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import (
     BoundedValue,
+    ZInvP,
     factorize,
     is_prime,
     legendre,
@@ -85,18 +86,29 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-@lru_cache(maxsize=None)
-def _p5(n: int, p: int, mu: int) -> Fraction:
-    b = p_boundary(n, mu)
-    if b is not None:
-        return b
-    q = Fraction(1, p)
-    total = (1 - q) * _p5(n - 1, p, mu)
-    if n >= 2:  # the (n-2) term has coefficient 0 at n = 1
-        total += q * (1 - q ** (n - 1)) * _p5(n - 2, p, mu)
-    total += q**n * (1 - q) * _p5(n - 1, p, mu - 1)
-    total += q ** (n + 1) * _p5(n, p, mu - 2)
-    return total
+def _p5_rows(n_max: int, mu_max: int, z: ZInvP) -> Iterator[list[tuple[int, int]]]:
+    """Rows P(n, p**m), m = 0..mu_max, for n = 0..n_max, bottom-up in n,
+    holding three rows at a time.  Entries are ZInvP pairs."""
+    p1 = z.p - 1
+    row = [z.ZERO] + [z.ONE] * mu_max
+    yield row
+    prev2 = prev = row
+    for n in range(1, n_max + 1):
+        row = [z.ZERO]
+        c2 = z.pow(n - 1) - 1  # 0 at n = 1, where P(n-2) does not exist
+        for m in range(1, mu_max + 1):
+            a1, e1 = prev[m]
+            a2, e2 = prev2[m]
+            a3, e3 = prev[m - 1]
+            a4, e4 = row[m - 2] if m >= 2 else z.ZERO
+            row.append(z.add(
+                (p1 * a1, e1 + 1),
+                (c2 * a2, e2 + n),
+                (p1 * a3, e3 + n + 1),
+                (a4, e4 + n + 1),
+            ))
+        yield row
+        prev2, prev = prev, row
 
 
 def p_recurrence5(n: int, p: int, mu: int) -> Fraction:
@@ -105,23 +117,18 @@ def p_recurrence5(n: int, p: int, mu: int) -> Fraction:
     P(n,mu) = (1-q) P(n-1,mu) + q(1-q^(n-1)) P(n-2,mu)
             + q^n (1-q) P(n-1,mu-1) + q^(n+1) P(n,mu-2),
 
-    memoized over the O(n*mu) distinct subproblems.
+    evaluated bottom-up and gcd-free over the O(n*mu) subproblems.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_prime(p)
-    return _p5(n, p, mu)
-
-
-@lru_cache(maxsize=None)
-def _p3_odd(n: int, p: int, mu: int) -> Fraction:
-    # odd n only; P(1, p**mu) = 1 - q**mu seeds the chain
-    if mu <= 0:
-        return Fraction(0)
-    q = Fraction(1, p)
-    if n == 1:
-        return 1 - q**mu
-    return (1 - q**n) * _p3_odd(n - 2, p, mu) + q**n * _p3_odd(n, p, mu - 2)
+    b = p_boundary(n, mu)
+    if b is not None:
+        return b
+    z = ZInvP(p)
+    for row in _p5_rows(n, mu, z):
+        pass
+    return z.fraction(row[mu])
 
 
 def p_recurrence3(n: int, p: int, mu: int) -> Fraction:
@@ -138,12 +145,23 @@ def p_recurrence3(n: int, p: int, mu: int) -> Fraction:
     b = p_boundary(n, mu)
     if b is not None:
         return b
-    if n % 2 == 1:
-        return _p3_odd(n, p, mu)
-    q = Fraction(1, p)
-    return (_p3_odd(n + 1, p, mu) - q ** (n + 1) * _p3_odd(n + 1, p, mu - 1)) / (
-        1 - q ** (n + 1)
-    )
+    z = ZInvP(p)
+    # odd n needs only the parity of mu; even n needs mu and mu - 1
+    ms = range(2 - mu % 2, mu + 1, 2) if n % 2 else range(1, mu + 1)
+    # row[m] = P(n', p**m) at the current odd n', seeded by P(1, p**m) = 1 - q**m
+    row = [z.ZERO] * (mu + 1)
+    for m in ms:
+        row[m] = (z.pow(m) - 1, m)
+    for n_odd in range(3, (n | 1) + 1, 2):
+        c = z.pow(n_odd) - 1
+        for m in ms:
+            a, e = row[m]
+            num, exp = z.add((c * a, e), row[m - 2] if m >= 2 else z.ZERO)
+            row[m] = (num, exp + n_odd)
+    if n % 2:
+        return z.fraction(row[mu])
+    a, e = row[mu - 1]
+    return z.fraction(z.div_one_minus_q(z.add(row[mu], (-a, e + n + 1)), n + 1))
 
 
 def _check_interior(n: int, p: int, mu: int) -> None:
@@ -172,6 +190,27 @@ def p_explicit(n: int, p: int, mu: int) -> Fraction:
     )
 
 
+def _r_pair(n: int, mu: int, z: ZInvP) -> tuple[int, int]:
+    """R of `r_term` as a ZInvP pair.  The product ratio of term j is
+    w_j = A_j B_j with A_j = Pi_{2j}(q)/Pi_j(q^2) = prod_{i<j} (1-q^(2i+1))
+    and the Gaussian binomial B_j = Pi_{j+s}(q^2)/(Pi_j(q^2) Pi_s(q^2)), so
+    step j multiplies by (1-q^(2j-1)) (1-q^(2(j+s))) and divides exactly by
+    (1-q^(2j))."""
+    k = n // 2
+    s = (mu - 1) // 2
+    lead = (z.pow(n) - 1, mu + n)  # q^mu (1-q^n)
+    total = z.ZERO
+    w = z.ONE
+    for j in range(k):
+        if j:
+            a, e = w
+            a *= (z.pow(2 * j - 1) - 1) * (z.pow(2 * (j + s)) - 1)
+            w = z.div_one_minus_q((a, e + 2 * j - 1 + 2 * (j + s)), 2 * j)
+        c, f = z.add(lead, (1 - z.pow(2 * j + 1), 2 * s + 2 * j + 3))
+        total = z.add(total, (c * w[0], f + 2 * j + w[1]))
+    return total[0], total[1] + s + 1
+
+
 def r_term(n: int, p: int, mu: int) -> Fraction:
     """The correction term R in Q = (q^mu (1-q^n) - R) / (1-q):
 
@@ -181,28 +220,17 @@ def r_term(n: int, p: int, mu: int) -> Fraction:
     Satisfies 0 <= R < q^(3mu/2), with R = 0 exactly when k = 0.
     """
     _check_interior(n, p, mu)
-    q = Fraction(1, p)
-    q2 = q * q
-    k = n // 2
-    s = (mu - 1) // 2
-    total = Fraction(0)
-    for j in range(k):
-        total += (
-            (q**mu * (1 - q**n) - q ** (2 * s + 2) * (1 - q ** (2 * j + 1)))
-            * q ** (2 * j)
-            * pochhammer(2 * j, q)
-            * pochhammer(j + s, q2)
-            / (pochhammer(j, q2) ** 2 * pochhammer(s, q2))
-        )
-    return q ** (s + 1) * total
+    z = ZInvP(p)
+    return z.fraction(_r_pair(n, mu, z))
 
 
 def q_explicit(n: int, p: int, mu: int) -> Fraction:
     """Q(n, p**mu) = (q^mu (1-q^n) - R) / (1-q), numerically convenient
     because it avoids the cancellation in 1 - P."""
     _check_interior(n, p, mu)
-    q = Fraction(1, p)
-    return (q**mu * (1 - q**n) - r_term(n, p, mu)) / (1 - q)
+    z = ZInvP(p)
+    r, e = _r_pair(n, mu, z)
+    return z.fraction(z.div_one_minus_q(z.add((z.pow(n) - 1, mu + n), (-r, e)), 1))
 
 
 def q_general(n: int, m: int) -> Fraction:
@@ -291,12 +319,13 @@ def monotonicity_check(n_max: int, p: int, mu_max: int) -> bool:
     grid point with n <= n_max, mu <= mu_max."""
     if n_max < 1 or mu_max < 1:
         raise ValueError("grid bounds must be >= 1")
+    _check_prime(p)
+    z = ZInvP(p)
+    table = [[z.fraction(x) for x in row] for row in _p5_rows(n_max + 1, mu_max + 1, z)]
     for n in range(n_max + 1):
         for mu in range(mu_max + 1):
-            here = p_recurrence5(n, p, mu)
-            if p_recurrence5(n + 1, p, mu) > here:
-                return False
-            if here > p_recurrence5(n, p, mu + 1):
+            here = table[n][mu]
+            if table[n + 1][mu] > here or here > table[n][mu + 1]:
                 return False
     return True
 

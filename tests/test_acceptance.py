@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from symrank.arith import pochhammer, t1_alt, t3_alt, t_beta
-from symrank.genfun import gf, series, verify_even_step, verify_functional_eq, verify_odd_step
+from symrank.genfun import coefficient, gf, series, verify_even_step, verify_functional_eq, verify_odd_step
 from symrank.oracle import exhaustive, monte_carlo
 from symrank.prob import (
     det_value_prob,
@@ -65,6 +65,7 @@ def test_criterion_01_crossroute_exactness():
                 ref = p_recurrence5(n, p, mu)
                 assert p_recurrence3(n, p, mu) == ref, (n, p, mu)
                 assert coeffs[mu] == ref, (n, p, mu)
+                assert coefficient(n, p, mu) == ref, (n, p, mu)
                 if n >= 1:
                     assert p_explicit(n, p, mu) == ref, (n, p, mu)
                     assert 1 - q_explicit(n, p, mu) == ref, (n, p, mu)

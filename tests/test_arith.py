@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symrank.arith import (
     BoundedValue,
     PrimePower,
+    ZInvP,
     factorize,
     is_prime,
     legendre,
@@ -199,3 +200,16 @@ def test_bounded_value_invariant():
     assert not b.contains(F(2, 3))
     c = b.complement_from_one()
     assert (c.lower, c.upper) == (F(1, 2), F(3, 4))
+
+
+def test_z_inv_p_pairs():
+    z = ZInvP(3)
+    assert z.fraction(z.add((1, 2), (2, 1), z.ZERO)) == F(7, 9)
+    assert z.add(z.ZERO, z.ZERO) == z.ZERO
+    assert z.fraction((5, -2)) == 45
+    # (1 - q^2) / (1 - q) = 1 + q, exact in Z[1/3]
+    assert z.fraction(z.div_one_minus_q((8, 2), 1)) == F(4, 3)
+    with pytest.raises(ArithmeticError):
+        z.div_one_minus_q(z.ONE, 1)  # 1 / (1 - 1/3) = 3/2 is not in Z[1/3]
+    big = ZInvP.POW_CACHE + 5
+    assert z.pow(big) == 3**big and z.pow(7) == 3**7

@@ -205,3 +205,12 @@ def test_dec12_rendering():
     assert dec12(F(0)) == "0"
     assert dec12(F(2, 3)) == "0.666666666667"
     assert dec12(F(1, 3)) == "0.333333333333"
+
+
+def test_prob_prints_exact_values_of_any_size(capsys):
+    from symrank.prob import p_recurrence3
+
+    rc, out, _ = run_cli(capsys, "prob", "--n", "600", "--m", "2", "--route", "recurrence5", "--json")
+    assert rc == 0
+    rec = json.loads(out)
+    assert F(int(rec["P_num"]), int(rec["P_den"])) == p_recurrence3(600, 2, 1)

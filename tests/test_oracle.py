@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -157,3 +160,11 @@ def test_rank_histogram_mc_full_rank_bin_in_ci():
 
 def test_rank_histogram_mc_deterministic():
     assert rank_histogram_mc(2, 4, 500, seed=12) == rank_histogram_mc(2, 4, 500, seed=12)
+
+
+def test_exact_modules_do_not_import_numpy():
+    code = "import sys, symrank, symrank.prob, symrank.cli; print('numpy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

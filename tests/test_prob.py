@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -228,3 +229,46 @@ def test_prob_query_derived_quantities():
     assert pq.s == 1
     with pytest.raises(ValueError):
         ProbQuery(2, 4, 1)
+
+
+def _over_power_of(x, p):
+    # compares with p**e near log_p(den), not by repeated division: that is
+    # quadratic in the size of den, and den has ~400k bits at (1001, 3, 1)
+    den = x.denominator
+    e = round(math.log2(den) / math.log2(p))
+    return any(p**k == den for k in (e - 1, e, e + 1) if k >= 0)
+
+
+def test_long_chain_recurrences_agree():
+    # the recursive recurrences overflowed the interpreter stack here
+    v5 = p_recurrence5(600, 2, 1)
+    assert v5 == p_recurrence3(600, 2, 1)
+    assert 0 < v5 < 1 and _over_power_of(v5, 2)
+
+
+def test_long_chain_recurrence3_matches_genfun():
+    from symrank.genfun import coefficient
+
+    v3 = p_recurrence3(1001, 3, 1)
+    assert v3 == coefficient(1001, 3, 1)
+    assert 0 < v3 < 1 and _over_power_of(v3, 3)
+
+
+@pytest.mark.parametrize("n,p,mu", [(236, 2, 20), (199, 3, 15), (163, 5, 19)])
+def test_deep_points_all_routes_match_t_beta_form(n, p, mu):
+    want = p_explicit(n, p, mu)
+    for route in ("recurrence5", "recurrence3", "explicit", "genfun"):
+        assert probability(n, p**mu, route).value_P == want, route
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([2, 3, 5, 7, 11]),
+)
+@settings(deadline=None)
+def test_routes_agree_in_z_inv_p(n, mu, p):
+    vals = {r: probability(n, p**mu, r).value_P for r in ("recurrence5", "recurrence3", "explicit", "genfun")}
+    assert len(set(vals.values())) == 1
+    v = vals["explicit"]
+    assert 0 < v < 1 and _over_power_of(v, p)
