@@ -10,7 +10,7 @@ Usage: python scripts/limit_convergence.py [--p 2] [--mu 1] [--n-max 40]
 import argparse
 from fractions import Fraction
 
-from symrank.prob import limit_interval, q_general, q_limit
+from symrank.prob import limit_interval, probability, q_limit
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"a-priori interval [q^mu, q^mu/(1-q)] = [{box.lower}, {box.upper}]")
     n = 1
     while n <= args.n_max:
-        q_n = q_general(n, m)
+        q_n = probability(n, m).value_Q
         gap = enc.lower - q_n
         print(f"n={n:>3}: Q = {float(q_n):.12f}  gap to limit ~ {float(gap):.3e}")
         n *= 2

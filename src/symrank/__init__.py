@@ -4,7 +4,6 @@ are nonsingular mod m, cross-validated through independent routes."""
 from .arith import (
     BoundedValue,
     PrimePower,
-    Rational,
     factorize,
     is_prime,
     legendre,
@@ -24,11 +23,11 @@ from .oracle import (
     rank_histogram_mc,
 )
 from .prob import (
-    ProbQuery,
     ProbResult,
     det_value_prob,
     limit_interval,
     monotonicity_check,
+    monotonicity_violation,
     p_boundary,
     p_explicit,
     p_limit,
@@ -36,7 +35,6 @@ from .prob import (
     p_recurrence5,
     probability,
     q_explicit,
-    q_general,
     q_limit,
     r_term,
 )

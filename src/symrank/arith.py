@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-# All probabilities, q-powers and product values live in this type.
-Rational = Fraction
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (desk-scale inputs)."""

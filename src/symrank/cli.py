@@ -160,14 +160,12 @@ def _suite_bounds(args) -> int:
 
 def _suite_monotone(args) -> int:
     for p in _parse_plist(args.p_list):
-        if not prob.monotonicity_check(args.n_max, p, args.mu_max):
-            for n in range(args.n_max + 1):
-                for mu in range(args.mu_max + 1):
-                    here = prob.p_recurrence5(n, p, mu)
-                    if prob.p_recurrence5(n + 1, p, mu) > here:
-                        return _fail("monotone", f"P({n + 1},{p}^{mu}) > P({n},{p}^{mu})")
-                    if here > prob.p_recurrence5(n, p, mu + 1):
-                        return _fail("monotone", f"P({n},{p}^{mu}) > P({n},{p}^{mu + 1})")
+        bad = prob.monotonicity_violation(args.n_max, p, args.mu_max)
+        if bad is not None:
+            n, mu, which = bad
+            if which == "n":
+                return _fail("monotone", f"P({n + 1},{p}^{mu}) > P({n},{p}^{mu})")
+            return _fail("monotone", f"P({n},{p}^{mu}) > P({n},{p}^{mu + 1})")
         print(f"PASS monotone: p={p}, P(n+1,p^mu) <= P(n,p^mu) <= P(n,p^(mu+1)) on the grid")
     return 0
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import factorize
-from .symmat import SymMatrix, classify_case, det_mod, m_rank, random_symmetric
+from .symmat import SymMatrix, classify_case, m_rank, random_symmetric
 
 if TYPE_CHECKING:  # numpy is imported where it is used, so the exact routes never load it
     import numpy as np
@@ -58,7 +58,9 @@ class ExhaustiveReport:
 
 def exhaustive(n: int, m: int, budget: int | None = None) -> ExhaustiveReport:
     """Enumerate every symmetric matrix once (packed-triangle odometer,
-    last entry fastest) and tally determinants, m-ranks and first-row cases.
+    last entry fastest) and tally determinants, m-ranks and first-row cases;
+    one modular elimination per prime-power factor gives both the
+    determinant and the m-rank of a matrix.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -78,8 +80,9 @@ def exhaustive(n: int, m: int, budget: int | None = None) -> ExhaustiveReport:
     case_hist: Counter[str] = Counter()
     for combo in itertools.product(range(m), repeat=free):
         A = SymMatrix(n, m, combo)
-        det_hist[det_mod(A)] += 1
-        rank_hist[m_rank(A).rank] += 1
+        profile = m_rank(A)
+        det_hist[profile.det] += 1
+        rank_hist[profile.rank] += 1
         if prime_power and n >= 1:
             case_hist[classify_case(A)] += 1
     full = total - det_hist.get(0, 0)
@@ -199,12 +202,14 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
     (int64 when a Hadamard bound certifies no overflow, otherwise
     arbitrary-precision integers).
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if m < 2:
         raise ValueError("m must be >= 2")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= trials:
+        raise ValueError(f"workers must be between 1 and trials ({trials})")
     import numpy as np
 
     free = n * (n + 1) // 2

@@ -28,38 +28,6 @@ ROUTES = ("recurrence5", "recurrence3", "explicit", "genfun")
 
 
 @dataclass(frozen=True)
-class ProbQuery:
-    """A (n, p, mu) query point with its derived quantities."""
-
-    n: int
-    p: int
-    mu: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-
-    @property
-    def q(self) -> Fraction:
-        return Fraction(1, self.p)
-
-    @property
-    def k_floor(self) -> int:
-        return self.n // 2
-
-    @property
-    def k_ceil(self) -> int:
-        # the determinant-value distribution uses this variant of k
-        return (self.n + 1) // 2
-
-    @property
-    def s(self) -> int:
-        return (self.mu - 1) // 2
-
-
-@dataclass(frozen=True)
 class ProbResult:
     value_P: Fraction
     value_Q: Fraction
@@ -233,20 +201,6 @@ def q_explicit(n: int, p: int, mu: int) -> Fraction:
     return z.fraction(z.div_one_minus_q(z.add((z.pow(n) - 1, mu + n), (-r, e)), 1))
 
 
-def q_general(n: int, m: int) -> Fraction:
-    """Q(n, m) for any m >= 2: the product of Q over prime-power factors."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n == 0:
-        return Fraction(0)
-    out = Fraction(1)
-    for pp in factorize(m):
-        out *= q_explicit(n, pp.p, pp.mu)
-    return out
-
-
 def p_limit(p: int, mu: int, eps: Fraction) -> BoundedValue:
     """Enclosure of lim_{n->inf} P(n, p**mu), width <= eps:
 
@@ -314,9 +268,10 @@ def det_value_prob(n: int, p: int, d: int) -> Fraction:
     return q / (1 - q) * pochhammer(2 * k, q) / pochhammer(k, q * q) * (1 + sign_s * q**k)
 
 
-def monotonicity_check(n_max: int, p: int, mu_max: int) -> bool:
-    """True iff P(n+1, p^mu) <= P(n, p^mu) <= P(n, p^(mu+1)) holds at every
-    grid point with n <= n_max, mu <= mu_max."""
+def monotonicity_violation(n_max: int, p: int, mu_max: int) -> tuple[int, int, str] | None:
+    """The first grid point (n, mu), n <= n_max and mu <= mu_max, in row
+    order, where P(n+1, p^mu) <= P(n, p^mu) <= P(n, p^(mu+1)) fails, with
+    which side fails ("n" or "mu"); None when both hold everywhere."""
     if n_max < 1 or mu_max < 1:
         raise ValueError("grid bounds must be >= 1")
     _check_prime(p)
@@ -325,9 +280,17 @@ def monotonicity_check(n_max: int, p: int, mu_max: int) -> bool:
     for n in range(n_max + 1):
         for mu in range(mu_max + 1):
             here = table[n][mu]
-            if table[n + 1][mu] > here or here > table[n][mu + 1]:
-                return False
-    return True
+            if table[n + 1][mu] > here:
+                return n, mu, "n"
+            if here > table[n][mu + 1]:
+                return n, mu, "mu"
+    return None
+
+
+def monotonicity_check(n_max: int, p: int, mu_max: int) -> bool:
+    """True iff P(n+1, p^mu) <= P(n, p^mu) <= P(n, p^(mu+1)) holds at every
+    grid point with n <= n_max, mu <= mu_max."""
+    return monotonicity_violation(n_max, p, mu_max) is None
 
 
 def _p_prime_power(n: int, p: int, mu: int, route: str) -> Fraction:

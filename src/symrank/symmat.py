@@ -1,5 +1,5 @@
-"""Symmetric matrices over Z_m: sampling, exact determinants, m-rank,
-and the symmetry-preserving elimination steps.
+"""Symmetric matrices over Z_m: sampling, determinants and m-rank from one
+modular elimination, and the symmetry-preserving elimination steps.
 
 Residues are stored in [0, m-1]; the usual {1..m} convention is the same
 residue system (m plays the role of 0) and entry-wise uniformity is
@@ -87,11 +87,13 @@ class ElimStep:
 
 @dataclass(frozen=True)
 class RankProfile:
-    """m-rank together with elementary-divisor valuations (prime-power m only;
-    valuations are clamped at mu and None for composite non-prime-power m)."""
+    """m-rank and det(A) mod m, with the elementary-divisor valuations
+    (prime-power m only; valuations are clamped at mu and None for
+    composite m and for m = 1)."""
 
     rank: int
     valuations: tuple[int, ...] | None
+    det: int
 
 
 def random_symmetric(n: int, m: int, rng: random.Random) -> SymMatrix:
@@ -104,40 +106,9 @@ def random_symmetric(n: int, m: int, rng: random.Random) -> SymMatrix:
     return SymMatrix(n, m, tuple(rng.randrange(m) for _ in range(count)))
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination.
-
-    Division by the previous pivot is exact over Z; row swaps flip the sign.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * piv - aik * ak[j]) // prev
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
 def det_mod(A: SymMatrix) -> int:
     """Determinant of the integer lift of A, reduced into [0, m-1]."""
-    return _det_bareiss(A.rows()) % A.m
+    return m_rank(A).det
 
 
 def is_full_rank(A: SymMatrix) -> bool:
@@ -153,17 +124,21 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
-def _elementary_valuations(rows: list[list[int]], p: int, mu: int) -> tuple[int, ...]:
-    """p-adic valuations of the elementary divisors, clamped at mu.
+def _eliminate(rows: list[list[int]], p: int, mu: int) -> tuple[tuple[int, ...], int]:
+    """Elementary-divisor valuations (clamped at mu) and det mod p**mu.
 
     Diagonalizes mod p**mu with minimal-valuation pivoting (ties: smallest
-    row, then column).  Row/column operations scale by units only, so the
-    valuations are invariant.
+    row, then column).  Each step swaps the pivot into place and clears its
+    column below it by adding multiples of the pivot row; those operations
+    are unimodular, so the valuations are invariant and det(A) is the sign
+    of the swaps times the product of the pivots.  Clearing the pivot row
+    as well would change only that row, so it is skipped.
     """
     pm = p**mu
     a = [[x % pm for x in row] for row in rows]
     n = len(a)
     vals: list[int] = []
+    det = 1 % pm
     for step in range(n):
         best: tuple[int, int, int] | None = None  # (v, i, j)
         for i in range(step, n):
@@ -172,59 +147,63 @@ def _elementary_valuations(rows: list[list[int]], p: int, mu: int) -> tuple[int,
                     v = _valuation(a[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
+            if best is not None and best[0] == 0:
+                break
         if best is None:
             vals.extend([mu] * (n - step))
-            break
+            return tuple(vals), 0
         v, bi, bj = best
-        a[step], a[bi] = a[bi], a[step]
-        for row in a:
-            row[step], row[bj] = row[bj], row[step]
+        if bi != step:
+            a[step], a[bi] = a[bi], a[step]
+            det = -det
+        if bj != step:
+            for r in range(step, n):
+                a[r][step], a[r][bj] = a[r][bj], a[r][step]
+            det = -det
+        ast = a[step]
+        piv = ast[step]
+        det = det * piv % pm
         pv = p**v
-        unit_inv = pow(a[step][step] // pv, -1, pm)
+        unit_inv = pow(piv // pv, -1, pm)
         for r in range(step + 1, n):
-            if a[r][step]:
-                f = (a[r][step] // pv) * unit_inv % pm
-                ar, ast = a[r], a[step]
-                for c in range(step, n):
+            ar = a[r]
+            if ar[step]:
+                f = (ar[step] // pv) * unit_inv % pm
+                for c in range(step + 1, n):
                     ar[c] = (ar[c] - f * ast[c]) % pm
-        for c in range(step + 1, n):
-            if a[step][c]:
-                f = (a[step][c] // pv) * unit_inv % pm
-                for r in range(step, n):
-                    a[r][c] = (a[r][c] - f * a[r][step]) % pm
         vals.append(v)
-    return tuple(vals)
+    return tuple(vals), det
 
 
 def m_rank(A: SymMatrix) -> RankProfile:
-    """m-rank: the largest k such that some k x k submatrix has determinant
-    nonzero mod m.
+    """m-rank, the largest k such that some k x k submatrix has determinant
+    nonzero mod m, together with det(A) mod m.
 
     For m = p**mu the rank is the largest k whose k smallest elementary
     divisor valuations sum below mu; for composite m it is the maximum of
     the prime-power ranks (a minor is nonzero mod m iff it is nonzero mod
-    some prime-power factor).
+    some prime-power factor), and the prime-power determinants combine by
+    the Chinese remainder theorem.
     """
     if A.m == 1:
-        return RankProfile(0, None)
+        return RankProfile(0, None, 0)
+    rows = A.rows()
     factors = factorize(A.m)
-    if len(factors) == 1:
-        pp = factors[0]
-        vals = _elementary_valuations(A.rows(), pp.p, pp.mu)
-        rank = 0
+    rank = 0
+    det = 0
+    for pp in factors:
+        vals, d = _eliminate(rows, pp.p, pp.mu)
+        k = 0
         acc = 0
         for v in vals:
             acc += v
             if acc >= pp.mu:
                 break
-            rank += 1
-        return RankProfile(rank, vals)
-    rank = 0
-    rows = A.rows()
-    for pp in factors:
-        reduced = SymMatrix.from_rows([[x % pp.value for x in r] for r in rows], pp.value)
-        rank = max(rank, m_rank(reduced).rank)
-    return RankProfile(rank, None)
+            k += 1
+        rank = max(rank, k)
+        cof = A.m // pp.value
+        det += d * cof * pow(cof, -1, pp.value)
+    return RankProfile(rank, vals if len(factors) == 1 else None, det % A.m)
 
 
 def _single_prime_power(m: int) -> PrimePower:

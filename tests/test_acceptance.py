@@ -23,7 +23,6 @@ from symrank.prob import (
     p_recurrence5,
     probability,
     q_explicit,
-    q_general,
     q_limit,
     r_term,
 )
@@ -85,7 +84,7 @@ def test_criterion_02_oracle_equivalence():
     assert reports[(3, 2)].full_rank_count == 28 and reports[(3, 2)].total == 64
     assert reports[(2, 4)].full_rank_count == 44 and reports[(2, 4)].total == 64
     assert F(reports[(2, 12)].total - reports[(2, 12)].full_rank_count, reports[(2, 12)].total) == F(5, 48)
-    assert q_general(2, 12) == F(5, 48)
+    assert probability(2, 12).value_Q == F(5, 48)
     print(f"\nPASS criterion 2: formula = exhaustive count on {len(ORACLE_GRID)} grid points")
 
 
@@ -225,7 +224,7 @@ def test_criterion_07_limit_enclosure():
     assert F(1, 2) <= qenc.lower and qenc.upper <= 1
 
     # exact Q(n, 2) approaches the enclosure monotonically in n
-    vals = [q_general(n, 2) for n in (10, 20, 30)]
+    vals = [probability(n, 2).value_Q for n in (10, 20, 30)]
     assert vals[0] <= vals[1] <= vals[2] <= qenc.upper
     gaps = [qenc.lower - v for v in vals]
     assert gaps[0] >= gaps[1] >= gaps[2] >= 0

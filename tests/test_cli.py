@@ -50,6 +50,10 @@ def test_prob_bad_arguments_exit_2(capsys):
     rc, _, err = run_cli(capsys, "prob", "--n", "2", "--m", "1")
     assert rc == 2
     assert "error" in err
+    rc, _, err = run_cli(capsys, "sample", "--n", "3", "--m", "4", "--trials", "3",
+                         "--seed", "1", "--workers", "4")
+    assert rc == 2
+    assert "workers" in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -148,6 +152,17 @@ def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     assert "FAIL crossroute" in out
     assert "n=3 p=2 mu=2" in out
     assert "verify: FAILED" in out
+
+
+def test_verify_monotone_violation_exits_1(capsys, monkeypatch):
+    import symrank.cli as cli_mod
+
+    for bad, want in [((3, 2, "n"), "P(4,2^2) > P(3,2^2)"), ((3, 2, "mu"), "P(3,2^2) > P(3,2^3)")]:
+        monkeypatch.setattr(cli_mod.prob, "monotonicity_violation", lambda n_max, p, mu_max: bad)
+        rc, out, _ = run_cli(capsys, "verify", "--suite", "monotone", "--p-list", "2")
+        assert rc == 1
+        assert f"FAIL monotone: {want}" in out
+        assert "verify: FAILED" in out
 
 
 def test_sample_reports_coverage(capsys):

@@ -90,10 +90,11 @@ def test_det_batch_matches_scalar_path():
 
 def test_det_batch_object_dtype_for_large_matrices():
     rng = random.Random(11)
-    n, m = 9, 1000  # Hadamard bound far past int64
-    A = random_symmetric(n, m, rng)
-    batch = np.array(A.rows(), dtype=object).reshape(1, n, n)
-    assert int(_det_batch(batch)[0]) % m == det_mod(A)
+    for n in range(6, 11):
+        for m in (12, 30, 1000):  # Hadamard bound past int64 from n = 9 at m = 1000
+            A = random_symmetric(n, m, rng)
+            batch = np.array(A.rows(), dtype=object).reshape(1, n, n)
+            assert int(_det_batch(batch)[0]) % m == det_mod(A), (n, m)
 
 
 def test_z99_quantile():
@@ -128,6 +129,14 @@ def test_monte_carlo_covers_exact_value():
     est = monte_carlo(6, 8, 100_000, seed=42)
     assert est.covers(exact)
     assert est.ci_low <= est.hits / est.trials <= est.ci_high
+
+
+def test_monte_carlo_rejects_bad_input():
+    with pytest.raises(ValueError):
+        monte_carlo(3, 4, 3, seed=1, workers=4)
+    with pytest.raises(ValueError):
+        monte_carlo(-1, 4, 3, seed=1)
+    assert monte_carlo(3, 4, 3, seed=1, workers=3).trials == 3
 
 
 def test_monte_carlo_degenerate_ci():

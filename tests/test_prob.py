@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from symrank.arith import pochhammer, t_beta
 from symrank.prob import (
-    ProbQuery,
     ProbResult,
     det_value_prob,
     limit_interval,
     monotonicity_check,
+    monotonicity_violation,
     p_boundary,
     p_explicit,
     p_limit,
@@ -19,7 +19,6 @@ from symrank.prob import (
     p_recurrence5,
     probability,
     q_explicit,
-    q_general,
     q_limit,
     r_term,
 )
@@ -130,20 +129,24 @@ def test_crossroute_equality_small_grid():
                     assert p_explicit(n, p, mu) == ref
 
 
-def test_q_general_multiplicative():
-    assert q_general(2, 12) == q_general(2, 4) * q_general(2, 3) == F(5, 48)
-    assert q_general(1, 6) == F(1, 6)
-    assert q_general(2, 9) == q_explicit(2, 3, 2)
+def _q(n, m):
+    return probability(n, m).value_Q
+
+
+def test_q_multiplicative():
+    assert _q(2, 12) == _q(2, 4) * _q(2, 3) == F(5, 48)
+    assert _q(1, 6) == F(1, 6)
+    assert _q(2, 9) == q_explicit(2, 3, 2)
     for m1, m2 in [(4, 3), (2, 9), (5, 8), (4, 9)]:
         for n in range(1, 5):
-            assert q_general(n, m1 * m2) == q_general(n, m1) * q_general(n, m2)
+            assert _q(n, m1 * m2) == _q(n, m1) * _q(n, m2)
 
 
-def test_q_general_rejects_bad_modulus():
+def test_probability_rejects_bad_modulus():
     with pytest.raises(ValueError):
-        q_general(2, 1)
+        probability(2, 1)
     with pytest.raises(ValueError):
-        q_general(-1, 4)
+        probability(-1, 4)
 
 
 def test_probability_result_invariants():
@@ -186,7 +189,7 @@ def test_limit_rejects_bad_mu():
 
 def test_exact_q_approaches_limit_monotonically():
     qenc = q_limit(2, 1, F(1, 10**9))
-    vals = [q_general(n, 2) for n in (10, 20, 30)]
+    vals = [_q(n, 2) for n in (10, 20, 30)]
     assert vals[0] <= vals[1] <= vals[2] <= qenc.upper
     dists = [qenc.lower - v for v in vals]
     assert dists[0] >= dists[1] >= dists[2] >= 0
@@ -217,18 +220,9 @@ def test_det_value_sum_rule():
 
 def test_monotonicity():
     assert monotonicity_check(20, 2, 8)
+    assert monotonicity_violation(20, 3, 6) is None
     assert p_recurrence5(2, 2, 1) >= p_recurrence5(3, 2, 1)
     assert p_recurrence5(2, 2, 1) <= p_recurrence5(2, 2, 2)
-
-
-def test_prob_query_derived_quantities():
-    pq = ProbQuery(5, 3, 4)
-    assert pq.q == F(1, 3)
-    assert pq.k_floor == 2
-    assert pq.k_ceil == 3
-    assert pq.s == 1
-    with pytest.raises(ValueError):
-        ProbQuery(2, 4, 1)
 
 
 def _over_power_of(x, p):

@@ -144,10 +144,11 @@ def test_det_examples():
     assert det_mod(sym([[2, 1], [1, 3]], 4)) == 1  # det 5
     assert det_mod(sym([[2, 0], [0, 2]], 4)) == 0  # det 4
     assert det_mod(SymMatrix(0, 6, ())) == 1
+    assert det_mod(SymMatrix(2, 1, (0, 0, 0))) == 0
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(min_value=1, max_value=5), st.sampled_from([2, 3, 4, 5, 9, 12]), st.integers())
+@given(st.integers(min_value=1, max_value=5), st.sampled_from([2, 3, 4, 5, 9, 12, 30]), st.integers())
 def test_det_matches_cofactor_oracle(n, m, seed):
     A = random_symmetric(n, m, random.Random(seed))
     assert det_mod(A) == det_cofactor(A.rows()) % m
