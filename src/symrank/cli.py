@@ -312,7 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="substreams the trials are split into; they run one after another, so no speedup",
+    )
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("limit", help="enclose lim_n P and Q for p^mu")

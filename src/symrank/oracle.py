@@ -1,20 +1,20 @@
 """Ground-truth generators: exhaustive enumeration over tiny (n, m) grids
-and a seeded, reproducible Monte Carlo estimator for larger sizes.
+and a seeded, reproducible Monte Carlo estimator for larger sizes, both
+batched through one numpy elimination over Z/p**mu.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .arith import factorize
-from .symmat import SymMatrix, classify_case, m_rank, random_symmetric
+from .arith import PrimePower, factorize
+from .symmat import CASE1, CASE2, CASE3, CASE4
+from .symmat import SymMatrix  # noqa: F401  (a module binding perfbench's tracer wraps)
 
 if TYPE_CHECKING:  # numpy is imported where it is used, so the exact routes never load it
     import numpy as np
@@ -24,6 +24,10 @@ BUDGET_ENV = "SYMRANK_BUDGET"
 
 # 99% two-sided normal quantile, Phi(z) = 0.995
 Z99 = 2.5758293035489004
+
+CHUNK = 8192  # matrices per batch
+INDEX_LIMIT = 2**62  # an exhaustive sweep addresses its matrices by int64 index
+CASES = (CASE1, CASE2, CASE3, CASE4)
 
 
 class BudgetExceeded(ValueError):
@@ -57,10 +61,15 @@ class ExhaustiveReport:
 
 
 def exhaustive(n: int, m: int, budget: int | None = None) -> ExhaustiveReport:
-    """Enumerate every symmetric matrix once (packed-triangle odometer,
-    last entry fastest) and tally determinants, m-ranks and first-row cases;
-    one modular elimination per prime-power factor gives both the
-    determinant and the m-rank of a matrix.
+    """Enumerate every symmetric matrix once and tally determinants, m-ranks
+    and first-row cases.
+
+    Matrix k of the sweep has as packed entries the base-m digits of k, last
+    entry fastest (the order of itertools.product), so histogram keys appear
+    in the same order as a per-matrix loop would insert them.  Chunks of
+    indices are decoded and eliminated in one batch per prime-power factor
+    of m (factorized once per sweep), which gives both det mod m and the
+    m-rank.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -74,27 +83,52 @@ def exhaustive(n: int, m: int, budget: int | None = None) -> ExhaustiveReport:
             f"exhaustive sweep of (n={n}, m={m}) needs {total} matrices, "
             f"budget is {cap} (override with {BUDGET_ENV} or budget=)"
         )
-    prime_power = len(factorize(m)) == 1
-    det_hist: Counter[int] = Counter()
-    rank_hist: Counter[int] = Counter()
-    case_hist: Counter[str] = Counter()
-    for combo in itertools.product(range(m), repeat=free):
-        A = SymMatrix(n, m, combo)
-        profile = m_rank(A)
-        det_hist[profile.det] += 1
-        rank_hist[profile.rank] += 1
-        if prime_power and n >= 1:
-            case_hist[classify_case(A)] += 1
+    if total >= INDEX_LIMIT:
+        raise BudgetExceeded(
+            f"exhaustive sweep of (n={n}, m={m}) needs {total} matrices, "
+            f"more than the 2**62 that int64 matrix indices can address"
+        )
+    import numpy as np
+
+    factors = factorize(m)
+    cases = len(factors) == 1 and n >= 1
+    idx = _triangle_index(n)
+    place = np.array([m ** (free - 1 - j) for j in range(free)], dtype=np.int64)
+    det_hist: dict[int, int] = {}
+    rank_hist: dict[int, int] = {}
+    case_hist: dict[int, int] = {}
+    for start in range(0, total, CHUNK):
+        ks = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        flat = ks[:, None] // place % m
+        det, rank = _det_rank_batch(flat[:, idx], m, factors)
+        _tally(det_hist, det)
+        _tally(rank_hist, rank)
+        if cases:
+            _tally(case_hist, _case_codes(flat[:, :n], factors[0].p))
     full = total - det_hist.get(0, 0)
-    return ExhaustiveReport(
-        n,
-        m,
-        total,
-        full,
-        dict(det_hist),
-        dict(rank_hist),
-        dict(case_hist) if prime_power and n >= 1 else None,
-    )
+    case_names = {CASES[code]: count for code, count in case_hist.items()} if cases else None
+    return ExhaustiveReport(n, m, total, full, det_hist, rank_hist, case_names)
+
+
+def _case_codes(first_row: np.ndarray, p: int) -> np.ndarray:
+    """Index into CASES of the first-row case of each matrix (the batch form
+    of symmat.classify_case), given the (B, n) first rows."""
+    import numpy as np
+
+    a11 = first_row[:, 0]
+    unit_off = (first_row[:, 1:] % p != 0).any(axis=1)
+    # where a11 = 0 mod p, a11 != 0 mod p**2 iff a11 / p is a unit
+    return np.select([a11 % p != 0, unit_off, a11 // p % p != 0], [0, 1, 2], 3)
+
+
+def _tally(hist: dict[int, int], keys: np.ndarray) -> None:
+    """Add the counts of keys to hist; new keys go in by first occurrence."""
+    import numpy as np
+
+    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    for i in np.argsort(first):
+        key = int(uniq[i])
+        hist[key] = hist.get(key, 0) + int(counts[i])
 
 
 @dataclass(frozen=True)
@@ -190,17 +224,120 @@ def _triangle_index(n: int) -> np.ndarray:
     return idx
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in [0, q), as numpy floor-divides by a scalar several times
+    faster than it takes a remainder."""
+    return x - x // q * q
+
+
+def _pow_batch(x: np.ndarray, e: int, pm: int) -> np.ndarray:
+    """x**e mod pm elementwise, by square and multiply."""
+    import numpy as np
+
+    r = np.ones_like(x)
+    for bit in bin(e)[2:]:
+        r = r * r % pm
+        if bit == "1":
+            r = r * x % pm
+    return r
+
+
+def _eliminate_batch(mats: np.ndarray, p: int, mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch form of symmat._eliminate: the elementary-divisor valuations
+    (B, n), clamped at mu, and det mod p**mu (B,) of a (B, n, n) batch of
+    symmetric integer matrices, equal matrix by matrix to _eliminate.
+
+    Each step pivots on the first minimal-valuation entry of the remainder in
+    row-major order: the first unit of the top row if it has one, else the
+    least valuation over the whole remainder (taken only for the matrices
+    whose top row has no unit).  It swaps the pivot into the corner,
+    flipping the sign once per row or column swap, and clears the pivot
+    column with the unit inverse, computed by powering.  The lower-right
+    block is the next remainder.  A matrix whose remainder is all zero drops
+    out with det 0 and its remaining valuations mu.  int64 holds every
+    product while p**mu < 2**31; larger moduli run the same code on object
+    arrays.
+    """
+    import numpy as np
+
+    pm = p**mu
+    B, n = mats.shape[:2]
+    dt = np.int64 if pm < 2**31 else object
+    a = np.asarray(mats, dtype=object if dt is object else None)
+    a = (a % pm).astype(dt)
+    vals = np.full((B, n), mu, dtype=np.int64)
+    det = np.zeros(B, dtype=dt)
+    live = np.arange(B)
+    acc = np.ones(B, dtype=dt)  # swap sign times the pivot product, per live matrix
+    powers = np.array([p**j for j in range(mu + 1)], dtype=dt)
+    inv_exp = p ** (mu - 1) * (p - 1) - 1  # u**-1 = u**(phi(p**mu) - 1) for a unit u
+    for s in range(n):
+        k = n - s
+        top = a[:, 0]
+        unit = top // p * p != top
+        pos = unit.argmax(axis=1)  # a unit in the top row is the first in row-major order
+        v = np.zeros(len(live), dtype=np.int64)
+        rest = np.flatnonzero(~unit.any(axis=1))
+        if rest.size:
+            sub = a[rest].reshape(rest.size, k * k)
+            val = np.zeros(sub.shape, dtype=np.int64)  # valuation, mu for a zero entry
+            for pj in powers[1:]:
+                val += sub // pj * pj == sub
+            pos[rest] = val.argmin(axis=1)
+            v[rest] = val.min(axis=1)
+            dead = v == mu
+            if dead.any():
+                keep = ~dead
+                a, live, acc, pos, v = a[keep], live[keep], acc[keep], pos[keep], v[keep]
+                if not live.size:
+                    break
+        vals[live, s] = v
+        r, c = pos // k, pos % k
+        sw = np.flatnonzero(r)
+        a[sw, 0], a[sw, r[sw]] = a[sw, r[sw]], a[sw, 0]
+        sw = np.flatnonzero(c)
+        a[sw, :, 0], a[sw, :, c[sw]] = a[sw, :, c[sw]], a[sw, :, 0]
+        acc[(r != 0) != (c != 0)] *= -1
+        piv = a[:, 0, 0]
+        acc = acc * piv % pm
+        pv = powers[v]
+        inv = _pow_batch(piv // pv, inv_exp, pm)
+        f = _mod(a[:, 1:, 0] // pv[:, None] * inv[:, None], pm)
+        a = _mod(a[:, 1:, 1:] - f[:, :, None] * a[:, :1, 1:], pm)
+    det[live] = acc
+    return vals, det
+
+
+def _det_rank_batch(mats: np.ndarray, m: int, factors: list[PrimePower]) -> tuple[np.ndarray, np.ndarray]:
+    """det mod m and the m-rank of a (B, n, n) batch, the batch form of
+    symmat.m_rank: one elimination per prime-power factor of m, ranks
+    combined by max and dets by the Chinese remainder theorem."""
+    import numpy as np
+
+    det = rank = 0
+    for pp in factors:
+        vals, d = _eliminate_batch(mats, pp.p, pp.mu)
+        rank = np.maximum(rank, (np.cumsum(vals, axis=1) < pp.mu).sum(axis=1))
+        cof = m // pp.value
+        crt = cof * pow(cof, -1, pp.value) % m
+        # d * crt < m**2 stays inside int64 while m < 2**31
+        det = (det + (d if m < 2**31 else d.astype(object)) * crt) % m
+    return det, rank
+
+
 def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCEstimate:
     """Estimate P(n, m) from iid uniform symmetric samples with an exact
     nonsingularity test.
 
     Each worker w draws its fixed share of the trials from an independent
     substream (SeedSequence(seed).spawn), so results are identical for a
-    given (seed, trials, workers) regardless of scheduling.  Residues come
-    from Generator.integers, which is rejection-based and so exactly
-    uniform; determinants are computed by exact integer elimination
-    (int64 when a Hadamard bound certifies no overflow, otherwise
-    arbitrary-precision integers).
+    given (seed, trials, workers) regardless of scheduling.  The substreams
+    run one after another in this process: workers changes the stream, not
+    the speed.  Residues come from Generator.integers, which is
+    rejection-based and so exactly uniform.  A sample is full rank iff its
+    determinant is nonzero mod m: int64 Bareiss when a Hadamard bound
+    certifies no overflow, otherwise one modular elimination per
+    prime-power factor of m.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -215,33 +352,50 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
     free = n * (n + 1) // 2
     idx = _triangle_index(n)
     use_i64 = _fits_int64(n, m)
+    factors = None if use_i64 else factorize(m)
     shares = [trials // workers + (1 if w < trials % workers else 0) for w in range(workers)]
     children = np.random.SeedSequence(seed).spawn(workers)
     hits = 0
-    chunk = 8192
     for child, share in zip(children, shares):
         gen = np.random.Generator(np.random.PCG64(child))
         left = share
         while left > 0:
-            batch = min(chunk, left)
+            batch = min(CHUNK, left)
             left -= batch
             flat = gen.integers(0, m, size=(batch, free), dtype=np.int64)
             mats = flat[:, idx]
-            if not use_i64:
-                mats = mats.astype(object)
-            dets = _det_batch(mats)
-            hits += int(np.count_nonzero(dets % m))
+            if use_i64:
+                dets = _det_batch(mats) % m
+            else:
+                dets = _det_rank_batch(mats, m, factors)[0]
+            hits += int(np.count_nonzero(dets))
     lo, hi = _ci99(hits, trials)
     return MCEstimate(trials, hits, Fraction(hits, trials), lo, hi, seed, workers)
 
 
 def rank_histogram_mc(n: int, m: int, trials: int, seed: int) -> dict[int, int]:
     """Histogram of m-rank over seeded random samples; the full-rank bin
-    frequency is consistent with P(n, m)."""
+    frequency is consistent with P(n, m).
+
+    Matrix t holds the t-th run of n(n+1)/2 draws of
+    random.Random(seed).randrange(m), the draws random_symmetric makes;
+    chunks of matrices are ranked in one batch."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    import numpy as np
+
     rng = random.Random(seed)
-    hist: Counter[int] = Counter()
-    for _ in range(trials):
-        hist[m_rank(random_symmetric(n, m, rng)).rank] += 1
-    return dict(hist)
+    factors = factorize(m)
+    free = n * (n + 1) // 2
+    idx = _triangle_index(n)
+    dtype = np.int64 if m <= 2**63 else object
+    hist: dict[int, int] = {}
+    for start in range(0, trials, CHUNK):
+        batch = min(CHUNK, trials - start)
+        flat = np.array([rng.randrange(m) for _ in range(batch * free)], dtype=dtype)
+        _tally(hist, _det_rank_batch(flat.reshape(batch, free)[:, idx], m, factors)[1])
+    return hist

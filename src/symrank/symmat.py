@@ -50,7 +50,15 @@ class SymMatrix:
         return self.entries[self._idx(i, j)]
 
     def rows(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        """Full square array, filled by one walk of the packed triangle: row
+        i is the mirror of column i above the diagonal, then its packed run."""
+        n = self.n
+        out: list[list[int]] = []
+        pos = 0
+        for i in range(n):
+            out.append([r[i] for r in out] + list(self.entries[pos : pos + n - i]))
+            pos += n - i
+        return out
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], m: int) -> "SymMatrix":

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,17 +8,22 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symrank.arith import factorize
 from symrank.oracle import (
     Z99,
     BudgetExceeded,
     _det_batch,
+    _eliminate_batch,
+    _triangle_index,
     exhaustive,
     monte_carlo,
     rank_histogram_mc,
 )
 from symrank.prob import probability
-from symrank.symmat import det_mod, random_symmetric
+from symrank.symmat import SymMatrix, _eliminate, classify_case, det_mod, m_rank, random_symmetric
 
 
 def test_exhaustive_2_2():
@@ -95,6 +101,142 @@ def test_det_batch_object_dtype_for_large_matrices():
             A = random_symmetric(n, m, rng)
             batch = np.array(A.rows(), dtype=object).reshape(1, n, n)
             assert int(_det_batch(batch)[0]) % m == det_mod(A), (n, m)
+
+
+def assert_batch_matches_scalar(mats, p, mu):
+    vals, det = _eliminate_batch(mats, p, mu)
+    assert vals.shape == mats.shape[:2] and det.shape == mats.shape[:1]
+    for b, A in enumerate(mats):
+        got = (tuple(int(v) for v in vals[b]), int(det[b]))
+        assert got == _eliminate(A.tolist(), p, mu), (p, mu, A.tolist())
+
+
+def sym_batch(rng, count, n, pm, scale=1, dtype=np.int64):
+    """count random symmetric n x n matrices, entries multiples of scale mod pm."""
+    flat = [[rng.randrange(pm) * scale % pm for _ in range(n * (n + 1) // 2)] for _ in range(count)]
+    return np.array(flat, dtype=dtype).reshape(count, -1)[:, _triangle_index(n)]
+
+
+def low_rank_batch(rng, count, n, pm):
+    """C^T S C mod pm with S symmetric r x r and C r x n, so the rank is at most r < n."""
+    out = np.zeros((count, n, n), dtype=np.int64)
+    for b in range(count):
+        r = rng.randrange(n)
+        S = sym_batch(rng, 1, r, pm)[0]
+        C = np.array([[rng.randrange(pm) for _ in range(n)] for _ in range(r)], dtype=np.int64).reshape(r, n)
+        out[b] = (C.T @ S % pm) @ C % pm
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eliminate_batch_matches_scalar_random(p):
+    rng = random.Random(p)
+    for mu in range(1, 7):
+        for n in range(13):
+            assert_batch_matches_scalar(sym_batch(rng, 6, n, p**mu), p, mu)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eliminate_batch_matches_scalar_structured(p):
+    rng = random.Random(100 + p)
+    for mu in range(1, 7):
+        pm = p**mu
+        for n in range(13):
+            parts = [np.zeros((1, n, n), dtype=np.int64)]
+            parts += [sym_batch(rng, 3, n, pm, scale) for scale in (p, p * p)]
+            if n >= 1:
+                parts.append(low_rank_batch(rng, 3, n, pm))
+            # one batch mixing every kind, so matrices drop out at different steps
+            assert_batch_matches_scalar(np.concatenate(parts), p, mu)
+
+
+@pytest.mark.parametrize("m", [2**40, 2147483659])
+def test_eliminate_batch_object_dtype(m):
+    (pp,) = factorize(m)
+    assert pp.value >= 2**31
+    rng = random.Random(m % 1000)
+    for n in range(6):
+        for scale in (1, 2, 4):
+            mats = sym_batch(rng, 5, n, m, scale, dtype=object)
+            assert_batch_matches_scalar(mats, pp.p, pp.mu)
+            assert _eliminate_batch(mats, pp.p, pp.mu)[1].dtype == object
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eliminate_batch_property(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    mu = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, 12))
+    pm = p**mu
+    free = n * (n + 1) // 2
+    flat = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        scale = p ** data.draw(st.integers(0, 2))
+        flat.append([x * scale % pm for x in data.draw(st.lists(st.integers(0, pm - 1), min_size=free, max_size=free))])
+    mats = np.array(flat, dtype=np.int64).reshape(len(flat), free)[:, _triangle_index(n)]
+    assert_batch_matches_scalar(mats, p, mu)
+
+
+def reference_exhaustive(n, m):
+    """Per-matrix loop: one m_rank and one classify_case per matrix."""
+    prime_power = len(factorize(m)) == 1
+    det_hist, rank_hist, case_hist = {}, {}, {}
+    for combo in itertools.product(range(m), repeat=n * (n + 1) // 2):
+        A = SymMatrix(n, m, combo)
+        prof = m_rank(A)
+        det_hist[prof.det] = det_hist.get(prof.det, 0) + 1
+        rank_hist[prof.rank] = rank_hist.get(prof.rank, 0) + 1
+        if prime_power and n >= 1:
+            case = classify_case(A)
+            case_hist[case] = case_hist.get(case, 0) + 1
+    return det_hist, rank_hist, case_hist if prime_power and n >= 1 else None
+
+
+@pytest.mark.parametrize("n,m", [(0, 2), (1, 4), (2, 12), (3, 4), (3, 6), (4, 3), (2, 30)])
+def test_exhaustive_matches_per_matrix_reference(n, m):
+    rep = exhaustive(n, m)
+    det_hist, rank_hist, case_hist = reference_exhaustive(n, m)
+    assert (rep.n, rep.m, rep.total) == (n, m, m ** (n * (n + 1) // 2))
+    assert rep.full_rank_count == rep.total - det_hist.get(0, 0)
+    # equal as dicts and in key order
+    assert list(rep.det_histogram.items()) == list(det_hist.items())
+    assert list(rep.rank_histogram.items()) == list(rank_hist.items())
+    if case_hist is None:
+        assert rep.case_histogram is None
+    else:
+        assert list(rep.case_histogram.items()) == list(case_hist.items())
+    assert all(type(k) is int for k in (*rep.det_histogram, *rep.rank_histogram))
+
+
+def test_exhaustive_refuses_sweeps_past_int64_indices(monkeypatch):
+    monkeypatch.setenv("SYMRANK_BUDGET", str(10**40))
+    for n, m in [(11, 2), (1, 2**62), (4, 2**7)]:
+        with pytest.raises(BudgetExceeded) as exc:
+            exhaustive(n, m)
+        assert "2**62" in str(exc.value) and "\n" not in str(exc.value)
+    assert exhaustive(2, 3).total == 27
+
+
+# Values recorded from the per-matrix implementation (object-dtype Bareiss for
+# Monte Carlo outside the int64 bound, m_rank per sample for rank histograms).
+@pytest.mark.parametrize(
+    "n,m,trials,seed,workers,hits",
+    [(20, 8, 4000, 20260418, 2, 3209), (9, 1000, 3000, 777, 3, 2995), (2, 2**40, 500, 31337, 1, 500)],
+)
+def test_monte_carlo_pinned_hits(n, m, trials, seed, workers, hits):
+    assert monte_carlo(n, m, trials, seed, workers).hits == hits
+
+
+def test_rank_histogram_mc_pinned():
+    hist = rank_histogram_mc(10, 9, 10000, 2024)
+    assert list(hist.items()) == [(10, 8469), (9, 1496), (8, 35)]
+
+
+def test_rank_histogram_mc_rejects_bad_input():
+    for n, m, trials in [(2, 4, 0), (-1, 4, 5), (2, 1, 5)]:
+        with pytest.raises(ValueError):
+            rank_histogram_mc(n, m, trials, seed=0)
 
 
 def test_z99_quantile():
