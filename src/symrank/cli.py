@@ -70,9 +70,18 @@ def cmd_prob(args) -> int:
 TABLE_FIELDS = ["n", "p", "mu", "m", "P_num", "P_den", "Q_num", "Q_den", "P_dec", "Q_dec"]
 
 
+def _check_grid(args) -> None:
+    """Refuse a grid that holds no point, which would pass having checked nothing."""
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    if args.mu_max < 1:
+        raise ValueError(f"--mu-max must be >= 1, got {args.mu_max}")
+
+
 def cmd_table(args) -> int:
     if not is_prime(args.p):
         raise ValueError(f"p = {args.p} is not prime")
+    _check_grid(args)
     rows = []
     for n in range(args.n_max + 1):
         for mu in range(1, args.mu_max + 1):
@@ -96,6 +105,8 @@ def cmd_table(args) -> int:
 
 def _parse_plist(text: str) -> list[int]:
     ps = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not ps:
+        raise ValueError("--p-list names no prime")
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
@@ -218,6 +229,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    _check_grid(args)
+    _parse_plist(args.p_list)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rc = 0
     for name in names:

@@ -157,59 +157,6 @@ def _ci99(hits: int, trials: int) -> tuple[float, float]:
     return max(0.0, ph - half), min(1.0, ph + half)
 
 
-def _hadamard_sq(k: int, b: int) -> int:
-    """Exact upper bound for (k x k minor)^2 with entries in [0, b]."""
-    if k <= 0:
-        return 1
-    return k**k * b ** (2 * k)
-
-
-def _fits_int64(n: int, m: int) -> bool:
-    if n <= 1:
-        return True
-    b = m - 1
-    # largest product formed by the Bareiss update, and the final det itself
-    return 2 * _hadamard_sq(n - 1, b) < 2**62 and _hadamard_sq(n, b) < 2**124
-
-
-def _det_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (B, n, n) integer batch by fraction-free
-    elimination; row swaps are resolved per batch element."""
-    import numpy as np
-
-    B, n, _ = mats.shape
-    if n == 0:
-        return np.ones(B, dtype=mats.dtype)
-    a = mats.copy()
-    sign = np.ones(B, dtype=a.dtype)
-    dead = np.zeros(B, dtype=bool)
-    prev = np.ones(B, dtype=a.dtype)
-    for k in range(n - 1):
-        col = a[:, k:, k] != 0
-        has = col.any(axis=1)
-        dead |= ~has
-        first = np.argmax(col, axis=1)
-        swap = np.nonzero(has & (first > 0))[0]
-        if swap.size:
-            r2 = k + first[swap]
-            tmp = a[swap, k, :].copy()
-            a[swap, k, :] = a[swap, r2, :]
-            a[swap, r2, :] = tmp
-            sign[swap] = -sign[swap]
-        piv = a[:, k, k].copy()
-        piv[dead] = prev[dead]  # keep divisions valid; result is discarded
-        lower = a[:, k + 1 :, k].copy()
-        right = a[:, k, k + 1 :].copy()
-        a[:, k + 1 :, k + 1 :] = (
-            a[:, k + 1 :, k + 1 :] * piv[:, None, None]
-            - lower[:, :, None] * right[:, None, :]
-        ) // prev[:, None, None]
-        prev = piv
-    det = sign * a[:, n - 1, n - 1]
-    det[dead] = 0
-    return det
-
-
 def _triangle_index(n: int) -> np.ndarray:
     """(n, n) map from matrix position to packed-triangle offset."""
     import numpy as np
@@ -254,15 +201,16 @@ def _eliminate_batch(mats: np.ndarray, p: int, mu: int) -> tuple[np.ndarray, np.
     flipping the sign once per row or column swap, and clears the pivot
     column with the unit inverse, computed by powering.  The lower-right
     block is the next remainder.  A matrix whose remainder is all zero drops
-    out with det 0 and its remaining valuations mu.  int64 holds every
-    product while p**mu < 2**31; larger moduli run the same code on object
-    arrays.
+    out with det 0 and its remaining valuations mu.  The dtype follows p**mu
+    alone: int32 while p**mu < 2**15 and int64 while p**mu < 2**31, so every
+    product of two residues stays below 2**30 or 2**62; larger moduli run the
+    same code on object arrays.
     """
     import numpy as np
 
     pm = p**mu
     B, n = mats.shape[:2]
-    dt = np.int64 if pm < 2**31 else object
+    dt = np.int32 if pm < 2**15 else np.int64 if pm < 2**31 else object
     a = np.asarray(mats, dtype=object if dt is object else None)
     a = (a % pm).astype(dt)
     vals = np.full((B, n), mu, dtype=np.int64)
@@ -320,8 +268,8 @@ def _det_rank_batch(mats: np.ndarray, m: int, factors: list[PrimePower]) -> tupl
         rank = np.maximum(rank, (np.cumsum(vals, axis=1) < pp.mu).sum(axis=1))
         cof = m // pp.value
         crt = cof * pow(cof, -1, pp.value) % m
-        # d * crt < m**2 stays inside int64 while m < 2**31
-        det = (det + (d if m < 2**31 else d.astype(object)) * crt) % m
+        # d * crt < m**2 stays inside int64 while m < 2**31; d may be int32
+        det = (det + d.astype(np.int64 if m < 2**31 else object) * crt) % m
     return det, rank
 
 
@@ -335,9 +283,10 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
     run one after another in this process: workers changes the stream, not
     the speed.  Residues come from Generator.integers, which is
     rejection-based and so exactly uniform.  A sample is full rank iff its
-    determinant is nonzero mod m: int64 Bareiss when a Hadamard bound
-    certifies no overflow, otherwise one modular elimination per
-    prime-power factor of m.
+    determinant is nonzero mod some prime-power factor of m.  The factors
+    are eliminated largest first, and each passes on to the next only the
+    samples it found singular, so most samples of a composite m are
+    eliminated once.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -351,8 +300,7 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
 
     free = n * (n + 1) // 2
     idx = _triangle_index(n)
-    use_i64 = _fits_int64(n, m)
-    factors = None if use_i64 else factorize(m)
+    factors = sorted(factorize(m), key=lambda pp: pp.value, reverse=True)
     shares = [trials // workers + (1 if w < trials % workers else 0) for w in range(workers)]
     children = np.random.SeedSequence(seed).spawn(workers)
     hits = 0
@@ -364,11 +312,12 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
             left -= batch
             flat = gen.integers(0, m, size=(batch, free), dtype=np.int64)
             mats = flat[:, idx]
-            if use_i64:
-                dets = _det_batch(mats) % m
-            else:
-                dets = _det_rank_batch(mats, m, factors)[0]
-            hits += int(np.count_nonzero(dets))
+            for pp in factors:
+                full = _eliminate_batch(mats, pp.p, pp.mu)[1] != 0
+                hits += int(np.count_nonzero(full))
+                mats = mats[~full]
+                if not len(mats):
+                    break
     lo, hi = _ci99(hits, trials)
     return MCEstimate(trials, hits, Fraction(hits, trials), lo, hi, seed, workers)
 

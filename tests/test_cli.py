@@ -136,6 +136,25 @@ def test_verify_rejects_bad_p_list(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "crossroute", "--p-list", ""),
+        ("verify", "--suite", "crossroute", "--p-list", ","),
+        ("verify", "--suite", "crossroute", "--n-max", "-1"),
+        ("verify", "--suite", "bounds", "--mu-max", "0"),
+        ("table", "--p", "2", "--n-max", "-1", "--mu-max", "1"),
+        ("table", "--p", "2", "--n-max", "2", "--mu-max", "0"),
+    ],
+)
+def test_empty_grid_exits_2(capsys, argv):
+    # a grid with no point would print verify: OK (or a bare CSV header) having checked nothing
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     import symrank.cli as cli_mod
 

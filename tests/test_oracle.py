@@ -15,7 +15,7 @@ from symrank.arith import factorize
 from symrank.oracle import (
     Z99,
     BudgetExceeded,
-    _det_batch,
+    _det_rank_batch,
     _eliminate_batch,
     _triangle_index,
     exhaustive,
@@ -82,27 +82,6 @@ def test_exhaustive_budget_env_override(monkeypatch):
     assert exhaustive(2, 3).total == 27
 
 
-def test_det_batch_matches_scalar_path():
-    rng = random.Random(4)
-    mats = []
-    for _ in range(300):
-        n = rng.randrange(0, 5)
-        m = rng.randrange(2, 13)
-        mats.append(random_symmetric(n, m, rng))
-    for A in mats:
-        batch = np.array(A.rows(), dtype=np.int64).reshape(1, A.n, A.n)
-        assert int(_det_batch(batch)[0]) % A.m == det_mod(A)
-
-
-def test_det_batch_object_dtype_for_large_matrices():
-    rng = random.Random(11)
-    for n in range(6, 11):
-        for m in (12, 30, 1000):  # Hadamard bound past int64 from n = 9 at m = 1000
-            A = random_symmetric(n, m, rng)
-            batch = np.array(A.rows(), dtype=object).reshape(1, n, n)
-            assert int(_det_batch(batch)[0]) % m == det_mod(A), (n, m)
-
-
 def assert_batch_matches_scalar(mats, p, mu):
     vals, det = _eliminate_batch(mats, p, mu)
     assert vals.shape == mats.shape[:2] and det.shape == mats.shape[:1]
@@ -162,6 +141,36 @@ def test_eliminate_batch_object_dtype(m):
             assert _eliminate_batch(mats, pp.p, pp.mu)[1].dtype == object
 
 
+@pytest.mark.parametrize(
+    "p,mu,dtype",
+    [(2, 14, np.int32), (181, 2, np.int32), (32749, 1, np.int32), (2, 15, np.int64)],
+)
+def test_eliminate_batch_dtype_boundaries(p, mu, dtype):
+    # the largest moduli of each tier, where a product of two residues nears 2**30
+    pm = p**mu
+    rng = random.Random(pm)
+    for n in range(9):
+        parts = [sym_batch(rng, 4, n, pm, scale) for scale in (1, p)]
+        if n >= 1:
+            parts.append(low_rank_batch(rng, 2, n, pm))
+        mats = np.concatenate(parts)
+        assert_batch_matches_scalar(mats, p, mu)
+        assert _eliminate_batch(mats, p, mu)[1].dtype == dtype
+
+
+def test_det_rank_batch_crt_past_int32():
+    # both factors run in int32, while the CRT multiplier is near m
+    m = 32749 * 32719
+    factors = factorize(m)
+    rng = random.Random(5)
+    for n in range(5):
+        mats = sym_batch(rng, 40, n, m)
+        det, rank = _det_rank_batch(mats, m, factors)
+        for b, A in enumerate(mats):
+            prof = m_rank(SymMatrix.from_rows(A.tolist(), m))
+            assert (int(det[b]), int(rank[b])) == (prof.det, prof.rank), (n, A.tolist())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_eliminate_batch_property(data):
@@ -218,11 +227,22 @@ def test_exhaustive_refuses_sweeps_past_int64_indices(monkeypatch):
     assert exhaustive(2, 3).total == 27
 
 
-# Values recorded from the per-matrix implementation (object-dtype Bareiss for
-# Monte Carlo outside the int64 bound, m_rank per sample for rank histograms).
+# Values recorded before the batch kernel took over: the first three from the
+# per-matrix implementation (m_rank per sample), the rest, which lay inside a
+# Hadamard bound, from a fraction-free int64 determinant.  A hit means det != 0
+# mod m, so no kernel change may move them.
 @pytest.mark.parametrize(
     "n,m,trials,seed,workers,hits",
-    [(20, 8, 4000, 20260418, 2, 3209), (9, 1000, 3000, 777, 3, 2995), (2, 2**40, 500, 31337, 1, 500)],
+    [
+        (20, 8, 4000, 20260418, 2, 3209),
+        (9, 1000, 3000, 777, 3, 2995),
+        (2, 2**40, 500, 31337, 1, 500),
+        (6, 8, 200000, 20261018, 2, 161184),
+        (6, 30, 50000, 4242, 1, 47826),
+        (3, 6, 50000, 99, 3, 39827),
+        (4, 2, 50000, 7, 1, 21778),
+        (1, 2, 1000, 5, 1, 479),
+    ],
 )
 def test_monte_carlo_pinned_hits(n, m, trials, seed, workers, hits):
     assert monte_carlo(n, m, trials, seed, workers).hits == hits
