@@ -9,6 +9,7 @@ Usage: python scripts/det_histograms.py [--p 2] [--mu-max 3] [--n 2]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from symrank.oracle import exhaustive
@@ -37,4 +38,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:  # bad input or a refused sweep: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

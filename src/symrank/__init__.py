@@ -13,7 +13,7 @@ from .arith import (
     t3_alt,
     t_beta,
 )
-from .genfun import PowerSeries, RationalFunction, gf, series, verify_functional_eq
+from .genfun import RationalFunction, gf, series, verify_functional_eq
 from .oracle import (
     BudgetExceeded,
     ExhaustiveReport,

@@ -8,8 +8,11 @@ rational function of x with the closed forms
                   * prod_{j=0..k} (1-q^(2j+1)) / (1-q^(2j+1) x^2)
     G_{2k}(x)   = G_{2k+1}(x) * (1-q^(2k+1) x) / (1-q^(2k+1)).
 
-Polynomials are dense with exact Fraction coefficients; rational functions
-are never reduced, and equality means cross-multiplied polynomial identity.
+A polynomial is a tuple of ints indexed by exponent, trailing zeros
+trimmed.  A factor 1 - c x^d with rational c = a/b is written
+(b - a x^d) / b, the denominator of c moved into den, so no product takes
+a gcd.  Rational functions are never reduced, and equality means
+cross-multiplied polynomial identity.
 """
 
 from __future__ import annotations
@@ -19,129 +22,89 @@ from fractions import Fraction
 
 from .arith import ZInvP, is_prime
 
-# a truncated power series is just its coefficient list, index = exponent
-PowerSeries = list[Fraction]
+
+def _add(a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-class Poly:
-    """Immutable dense polynomial over Fraction."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Poly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self or not other:
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(a * c for a in self.coeffs)
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r})"
-
-
-ONE = Poly((1,))
-X = Poly((0, 1))
-
-
-def _lin(c) -> Poly:
-    """1 - c*x"""
-    return Poly((1, -Fraction(c)))
-
-
-def _quad(c) -> Poly:
-    """1 - c*x^2"""
-    return Poly((1, 0, -Fraction(c)))
+def _mul(a: tuple, b: tuple) -> tuple:
+    if not any(a) or not any(b):
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    while out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Quotient of polynomials; den is nonzero and (for our use) has a
-    nonzero constant term so a series expansion at 0 exists."""
+    """Quotient of integer polynomials; den is nonzero and (for our use)
+    has a nonzero constant term so a series expansion at 0 exists."""
 
-    num: Poly
-    den: Poly
+    num: tuple
+    den: tuple
 
     def __post_init__(self) -> None:
-        if not self.den:
+        if not any(self.den):
             raise ValueError("zero denominator")
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _add(_mul(self.num, other.den), _mul(other.num, self.den)),
+            _mul(self.den, other.den),
         )
-
-    def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den)
 
     def equals(self, other: "RationalFunction") -> bool:
         """Identity as rational functions: num1*den2 == num2*den1."""
-        return self.num * other.den == other.num * self.den
+        return _mul(self.num, other.den) == _mul(other.num, self.den)
 
 
-def series(f: RationalFunction, order: int) -> PowerSeries:
-    """Exact coefficients of x^0..x^order by long division at x = 0."""
+def _lin(c: Fraction, d: int) -> tuple:
+    """1 - c x^d times the denominator b of c = a/b: b - a x^d."""
+    return _add((c.denominator,), (0,) * d + (-c.numerator,))
+
+
+def _one_minus(c: Fraction, d: int = 0) -> RationalFunction:
+    """1 - c x^d"""
+    return RationalFunction(_lin(c, d), (c.denominator,))
+
+
+def _ratio(c: Fraction, i: int, j: int) -> RationalFunction:
+    """(1 - c x^i) / (1 - c x^j); the denominator of c cancels."""
+    return RationalFunction(_lin(c, i), _lin(c, j))
+
+
+def series(f: RationalFunction, order: int) -> list[Fraction]:
+    """Exact coefficients of x^0..x^order by long division at x = 0.
+    With d0 the constant term of den, the k-th coefficient is s_k / d0^(k+1)
+    for an integer s_k, so the division runs on integers."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    den = f.den.coeffs
+    num, den = f.num, f.den
     if not den or den[0] == 0:
         raise ValueError("denominator has zero constant term; no expansion at 0")
-    inv0 = 1 / Fraction(den[0])
-    out: PowerSeries = []
+    d0 = den[0]
+    s: list[int] = []
     for k in range(order + 1):
-        acc = f.num.coeff(k)
+        acc = num[k] * d0**k if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * out[k - i]
-        out.append(acc * inv0)
-    return out
+            acc -= den[i] * s[k - i] * d0 ** (i - 1)
+        s.append(acc)
+    return [Fraction(c, d0 ** (k + 1)) for k, c in enumerate(s)]
 
 
 def gf(n: int, q: Fraction) -> RationalFunction:
@@ -149,19 +112,16 @@ def gf(n: int, q: Fraction) -> RationalFunction:
     if n < 0:
         raise ValueError("n must be >= 0")
     q = Fraction(q)
+    g0 = RationalFunction((0, 1), (1, -1))  # x / (1-x)
     if n == 0:
-        return RationalFunction(X, _lin(1))
-    k = (n - 1) // 2 if n % 2 else n // 2
-    num = X * _quad(q)
-    den = _lin(1) * _lin(q)
+        return g0
+    k = n // 2
+    f = g0 * _ratio(q, 2, 1)
     for j in range(k + 1):
-        num = num.scale(1 - q ** (2 * j + 1))
-        den = den * _quad(q ** (2 * j + 1))
-    odd = RationalFunction(num, den)
+        f = f * _ratio(q ** (2 * j + 1), 0, 2)
     if n % 2:
-        return odd
-    c = q ** (2 * k + 1)
-    return odd * RationalFunction(_lin(c), ONE.scale(1 - c))
+        return f
+    return f * _ratio(q ** (2 * k + 1), 1, 0)
 
 
 def coefficient(n: int, p: int, mu: int) -> Fraction:
@@ -208,11 +168,11 @@ def verify_functional_eq(n: int, q: Fraction, order: int = 0) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     q = Fraction(q)
-    lhs = gf(n, q) * RationalFunction(_quad(q ** (n + 1)), ONE)
-    rhs = gf(n - 1, q) * RationalFunction(_lin(-(q**n)).scale(1 - q), ONE)
+    lhs = gf(n, q) * _one_minus(q ** (n + 1), 2)
+    rhs = gf(n - 1, q) * _one_minus(-(q**n), 1) * _one_minus(q)
     c = q * (1 - q ** (n - 1))
     if c != 0:
-        rhs = rhs + gf(n - 2, q).scale(c)
+        rhs = rhs + gf(n - 2, q) * RationalFunction((c.numerator,), (c.denominator,))
     if not lhs.equals(rhs):
         return False
     if order > 0 and series(lhs, order) != series(rhs, order):
@@ -225,11 +185,7 @@ def verify_odd_step(k: int, q: Fraction) -> bool:
     cross-multiplied identity."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = Fraction(q)
-    c = q ** (2 * k + 3)
-    lhs = gf(2 * k + 3, q) * RationalFunction(_quad(c), ONE)
-    rhs = gf(2 * k + 1, q).scale(1 - c)
-    return lhs.equals(rhs)
+    return gf(2 * k + 3, q).equals(gf(2 * k + 1, q) * _ratio(Fraction(q) ** (2 * k + 3), 0, 2))
 
 
 def verify_even_step(k: int, q: Fraction) -> bool:
@@ -237,8 +193,4 @@ def verify_even_step(k: int, q: Fraction) -> bool:
     cross-multiplied identity."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = Fraction(q)
-    c = q ** (2 * k + 1)
-    lhs = gf(2 * k, q).scale(1 - c)
-    rhs = gf(2 * k + 1, q) * RationalFunction(_lin(c), ONE)
-    return lhs.equals(rhs)
+    return gf(2 * k, q).equals(gf(2 * k + 1, q) * _ratio(Fraction(q) ** (2 * k + 1), 1, 0))

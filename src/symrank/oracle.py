@@ -39,7 +39,12 @@ def exhaustive_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV}={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -294,6 +299,8 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
         raise ValueError("trials must be >= 1")
     if m < 2:
         raise ValueError("m must be >= 2")
+    if m > 2**63:
+        raise ValueError("m must be <= 2**63: residues are drawn as int64")
     if not 1 <= workers <= trials:
         raise ValueError(f"workers must be between 1 and trials ({trials})")
     import numpy as np

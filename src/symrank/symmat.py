@@ -345,11 +345,9 @@ def eliminate_case2(A: SymMatrix) -> ElimStep:
     return ElimStep(CASE2, blockdet, residual, 0)
 
 
-def reduce_case4(A: SymMatrix, rng: random.Random) -> ElimStep:
-    """Divide the first row and column by p (the corner by p**2), then
-    re-randomize the quotients: uniform multiples of p**(mu-1) on the first
-    row/column, a uniform multiple of p**(mu-2) on the corner.  The residual
-    reduced mod p**(mu-2) is uniform when A is, and
+def reduce_case4(A: SymMatrix) -> ElimStep:
+    """Divide the first row and column by p (the corner by p**2) and reduce
+    mod p**(mu-2).  The residual is uniform when A is, and
     det(A) = p**2 * det(residual) mod p**mu."""
     if classify_case(A) != CASE4:
         raise ValueError("matrix is not in case 4")
@@ -359,11 +357,10 @@ def reduce_case4(A: SymMatrix, rng: random.Random) -> ElimStep:
         raise ValueError("case-4 reduction needs mu >= 2")
     reduced_m = p ** (mu - 2)
     rows = A.rows()
-    rows[0][0] = rows[0][0] // (p * p) + rng.randrange(p * p) * reduced_m
+    rows[0][0] //= p * p
     for j in range(1, A.n):
-        v = rows[0][j] // p + rng.randrange(p) * p ** (mu - 1)
-        rows[0][j] = v
-        rows[j][0] = v
+        rows[0][j] //= p
+        rows[j][0] = rows[0][j]
     rows = [[x % reduced_m for x in r] for r in rows]
     residual = SymMatrix.from_rows(rows, reduced_m)
     return ElimStep(CASE4, p * p, residual, 2)

@@ -54,6 +54,10 @@ def test_prob_bad_arguments_exit_2(capsys):
                          "--seed", "1", "--workers", "4")
     assert rc == 2
     assert "workers" in err
+    rc, _, err = run_cli(capsys, "sample", "--n", "2", "--m", str(2**63 + 1), "--trials", "3",
+                         "--seed", "1")
+    assert rc == 2
+    assert "2**63" in err
 
 
 def test_usage_error_exit_2(capsys):

@@ -19,6 +19,7 @@ from symrank.oracle import (
     _eliminate_batch,
     _triangle_index,
     exhaustive,
+    exhaustive_budget,
     monte_carlo,
     rank_histogram_mc,
 )
@@ -80,6 +81,14 @@ def test_exhaustive_budget_env_override(monkeypatch):
         exhaustive(2, 3)
     monkeypatch.setenv("SYMRANK_BUDGET", "100")
     assert exhaustive(2, 3).total == 27
+
+
+@pytest.mark.parametrize("value", ["abc", "1e9"])
+def test_exhaustive_budget_env_not_an_integer(monkeypatch, value):
+    monkeypatch.setenv("SYMRANK_BUDGET", value)
+    with pytest.raises(ValueError) as exc:
+        exhaustive_budget()
+    assert "SYMRANK_BUDGET" in str(exc.value) and value in str(exc.value)
 
 
 def assert_batch_matches_scalar(mats, p, mu):

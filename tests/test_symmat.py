@@ -351,8 +351,7 @@ def test_eliminate_case3_congruence():
 
 
 def test_reduce_case4_mu2_boundary():
-    rng = random.Random(0)
-    step = reduce_case4(sym([[0, 0], [0, 3]], 4), rng)
+    step = reduce_case4(sym([[0, 0], [0, 3]], 4))
     assert step.kind == CASE4
     assert step.residual.m == 1
     assert step.residual.n == 2
@@ -363,7 +362,7 @@ def test_reduce_case4_worked_example():
     # mod 8: first row/col of [[4,2],[2,4]] divides down to the [[1,1],[1,4]]
     # pattern, and det(A) = 12 = 4 * det(residual) mod 8
     A = sym([[4, 2], [2, 4]], 8)
-    step = reduce_case4(A, random.Random(1))
+    step = reduce_case4(A)
     assert step.residual.m == 2
     assert step.residual.entry(0, 0) == 1
     assert step.residual.entry(0, 1) == 1
@@ -372,11 +371,10 @@ def test_reduce_case4_worked_example():
 
 def test_reduce_case4_congruence_exhaustive():
     for n, m, p in [(2, 4, 2), (2, 8, 2), (2, 9, 3), (3, 4, 2)]:
-        rng = random.Random(99)
         for A in all_symmetric(n, m):
             if classify_case(A) != CASE4:
                 continue
-            step = reduce_case4(A, rng)
+            step = reduce_case4(A)
             assert step.residual.m == m // (p * p)
             assert det_mod(A) == (step.pivot_factor * det_mod(step.residual)) % m
 
@@ -385,7 +383,7 @@ def test_reduce_case4_residual_uniform():
     # (n=2, p=2, mu=4): the residual mod 4 of every case-4 matrix mod 16,
     # tallied exhaustively, is uniform
     counts = Counter(
-        reduce_case4(A, random.Random(5)).residual.entries
+        reduce_case4(A).residual.entries
         for A in all_symmetric(2, 16)
         if classify_case(A) == CASE4
     )
@@ -396,7 +394,7 @@ def test_reduce_case4_residual_uniform():
 def test_reduce_case4_residual_uniform_mu2():
     # mu=2 residuals live mod 1: a single all-zero matrix
     counts = Counter(
-        reduce_case4(A, random.Random(5)).residual.entries
+        reduce_case4(A).residual.entries
         for A in all_symmetric(2, 4)
         if classify_case(A) == CASE4
     )
@@ -405,7 +403,7 @@ def test_reduce_case4_residual_uniform_mu2():
 
 def test_reduce_case4_rejects_mu1():
     with pytest.raises(ValueError):
-        reduce_case4(sym([[0, 0], [0, 1]], 2), random.Random(0))
+        reduce_case4(sym([[0, 0], [0, 1]], 2))
 
 
 def test_elimination_preserves_symmetry():
@@ -418,7 +416,7 @@ def test_elimination_preserves_symmetry():
         elif case == CASE3:
             res = eliminate_case3(A).residual
         else:
-            res = reduce_case4(A, random.Random(3)).residual
+            res = reduce_case4(A).residual
         rows = res.rows()
         assert all(rows[i][j] == rows[j][i] for i in range(res.n) for j in range(res.n))
 
