@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/argument/IO error.
+Exit codes: 0 success, 1 verification failure, 2 usage/argument/IO/memory error.
 Fractions are printed in lowest terms; decimals are 12-significant-digit
 renderings (round half even) and are never fed back into computation.
 """
@@ -70,10 +70,10 @@ def cmd_prob(args) -> int:
 TABLE_FIELDS = ["n", "p", "mu", "m", "P_num", "P_den", "Q_num", "Q_den", "P_dec", "Q_dec"]
 
 
-def _check_grid(args) -> None:
+def _check_grid(args, n_min: int) -> None:
     """Refuse a grid that holds no point, which would pass having checked nothing."""
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    if args.n_max < n_min:
+        raise ValueError(f"--n-max must be >= {n_min}, got {args.n_max}")
     if args.mu_max < 1:
         raise ValueError(f"--mu-max must be >= 1, got {args.mu_max}")
 
@@ -81,7 +81,7 @@ def _check_grid(args) -> None:
 def cmd_table(args) -> int:
     if not is_prime(args.p):
         raise ValueError(f"p = {args.p} is not prime")
-    _check_grid(args)
+    _check_grid(args, 0)
     rows = []
     for n in range(args.n_max + 1):
         for mu in range(1, args.mu_max + 1):
@@ -113,95 +113,87 @@ def _parse_plist(text: str) -> list[int]:
     return ps
 
 
-def _fail(name: str, detail: str) -> int:
-    print(f"FAIL {name}: {detail}")
-    return 1
+# A suite takes the grid (primes, n_max, mu_max) and yields one "PASS <suite>: ..."
+# line per check; a caller stops at the first "FAIL <suite>: <counterexample>".
+# Calls go through module attributes, so a patched or traced function sees all.
 
 
-def _suite_crossroute(args) -> int:
-    for p in _parse_plist(args.p_list):
-        for n in range(args.n_max + 1):
-            for mu in range(1, args.mu_max + 1):
+def _suite_crossroute(primes, n_max, mu_max):
+    for p in primes:
+        for n in range(n_max + 1):
+            for mu in range(1, mu_max + 1):
                 vals = {r: prob.probability(n, p**mu, r).value_P for r in prob.ROUTES}
                 ref = vals["explicit"]
                 for route, v in vals.items():
                     if v != ref:
-                        return _fail(
-                            "crossroute",
-                            f"n={n} p={p} mu={mu}: {route}={v} explicit={ref}",
-                        )
-        print(f"PASS crossroute: p={p}, n<={args.n_max}, mu<={args.mu_max}, all routes equal")
-    return 0
+                        yield f"FAIL crossroute: n={n} p={p} mu={mu}: {route}={v} explicit={ref}"
+        yield f"PASS crossroute: p={p}, n<={n_max}, mu<={mu_max}, all routes equal"
 
 
-def _suite_oracle(args) -> int:
+def _suite_oracle(primes, n_max, mu_max):
     budget = oracle.exhaustive_budget()
     for n, m in ORACLE_GRID:
         rep = oracle.exhaustive(n, m, budget)
         exact = prob.probability(n, m).value_P
         if rep.full_rank_fraction != exact:
-            return _fail("oracle", f"(n={n}, m={m}): counted {rep.full_rank_fraction}, formula {exact}")
-        print(f"PASS oracle: (n={n}, m={m}) count {rep.full_rank_count}/{rep.total} = {exact}")
-    return 0
+            yield f"FAIL oracle: (n={n}, m={m}): counted {rep.full_rank_fraction}, formula {exact}"
+        yield f"PASS oracle: (n={n}, m={m}) count {rep.full_rank_count}/{rep.total} = {exact}"
 
 
-def _suite_bounds(args) -> int:
-    for p in _parse_plist(args.p_list):
+def _suite_bounds(primes, n_max, mu_max):
+    for p in primes:
         q = Fraction(1, p)
-        for n in range(1, args.n_max + 1):
-            for mu in range(1, args.mu_max + 1):
+        for n in range(1, n_max + 1):
+            for mu in range(1, mu_max + 1):
                 r = prob.r_term(n, p, mu)
                 if r < 0:
-                    return _fail("bounds", f"R < 0 at n={n} p={p} mu={mu}: {r}")
+                    yield f"FAIL bounds: R < 0 at n={n} p={p} mu={mu}: {r}"
                 if r * r >= q ** (3 * mu):
-                    return _fail("bounds", f"R^2 >= q^(3mu) at n={n} p={p} mu={mu}: {r}")
+                    yield f"FAIL bounds: R^2 >= q^(3mu) at n={n} p={p} mu={mu}: {r}"
                 if (r == 0) != (n // 2 == 0):
-                    return _fail("bounds", f"R = 0 iff k = 0 broken at n={n} p={p} mu={mu}")
-        print(f"PASS bounds: p={p}, 0 <= R and R^2 < q^(3mu) on the grid")
+                    yield f"FAIL bounds: R = 0 iff k = 0 broken at n={n} p={p} mu={mu}"
+        yield f"PASS bounds: p={p}, 0 <= R and R^2 < q^(3mu) on the grid"
     eps = Fraction(1, 10**9)
-    for p in _parse_plist(args.p_list):
-        for mu in range(1, min(args.mu_max, 4) + 1):
+    for p in primes:
+        for mu in range(1, min(mu_max, 4) + 1):
             qenc = prob.q_limit(p, mu, eps)
             box = prob.limit_interval(p, mu)
             if not (box.intersects(qenc) and box.lower - eps <= qenc.lower and qenc.upper <= box.upper + eps):
-                return _fail("bounds", f"limit enclosure escapes [q^mu, q^mu/(1-q)] at p={p} mu={mu}")
-        print(f"PASS bounds: p={p}, limit Q enclosures inside [q^mu, q^mu/(1-q)]")
-    return 0
+                yield f"FAIL bounds: limit enclosure escapes [q^mu, q^mu/(1-q)] at p={p} mu={mu}"
+        yield f"PASS bounds: p={p}, limit Q enclosures inside [q^mu, q^mu/(1-q)]"
 
 
-def _suite_monotone(args) -> int:
-    for p in _parse_plist(args.p_list):
-        bad = prob.monotonicity_violation(args.n_max, p, args.mu_max)
+def _suite_monotone(primes, n_max, mu_max):
+    for p in primes:
+        bad = prob.monotonicity_violation(n_max, p, mu_max)
         if bad is not None:
             n, mu, which = bad
-            if which == "n":
-                return _fail("monotone", f"P({n + 1},{p}^{mu}) > P({n},{p}^{mu})")
-            return _fail("monotone", f"P({n},{p}^{mu}) > P({n},{p}^{mu + 1})")
-        print(f"PASS monotone: p={p}, P(n+1,p^mu) <= P(n,p^mu) <= P(n,p^(mu+1)) on the grid")
-    return 0
+            yield (f"FAIL monotone: P({n + 1},{p}^{mu}) > P({n},{p}^{mu})" if which == "n"
+                   else f"FAIL monotone: P({n},{p}^{mu}) > P({n},{p}^{mu + 1})")
+        yield f"PASS monotone: p={p}, P(n+1,p^mu) <= P(n,p^mu) <= P(n,p^(mu+1)) on the grid"
 
 
-def _suite_genfun(args) -> int:
+def _suite_genfun(primes, n_max, mu_max):
     qs = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
     for q in qs:
         for n in range(1, 13):
             if not genfun.verify_functional_eq(n, q):
-                return _fail("genfun", f"functional equation fails at n={n} q={q}")
+                yield f"FAIL genfun: functional equation fails at n={n} q={q}"
         for k in range(7):
             if not genfun.verify_odd_step(k, q) or not genfun.verify_even_step(k, q):
-                return _fail("genfun", f"step identity fails at k={k} q={q}")
-        print(f"PASS genfun: q={q}, functional equation and step identities hold")
+                yield f"FAIL genfun: step identity fails at k={k} q={q}"
+        yield f"PASS genfun: q={q}, functional equation and step identities hold"
     for p in (2, 3, 5):
+        table = prob.p5_table(12, p, 12)
         for n in range(13):
             coeffs = genfun.series(genfun.gf(n, Fraction(1, p)), 12)
             for mu in range(1, 13):
-                if coeffs[mu] != prob.p_recurrence5(n, p, mu):
-                    return _fail("genfun", f"coefficient mismatch at n={n} p={p} mu={mu}")
-    print("PASS genfun: series coefficients match the recurrence for n<=12, mu<=12, p in {2,3,5}")
-    return 0
+                if coeffs[mu] != table[n][mu]:
+                    yield f"FAIL genfun: coefficient mismatch at n={n} p={p} mu={mu}"
+    yield "PASS genfun: series coefficients match the recurrence for n<=12, mu<=12, p in {2,3,5}"
 
 
-def _suite_detdist(args) -> int:
+def _suite_detdist(primes, n_max, mu_max):
     budget = oracle.exhaustive_budget()
     for n, p in DETDIST_GRID:
         rep = oracle.exhaustive(n, p, budget)
@@ -210,12 +202,11 @@ def _suite_detdist(args) -> int:
             want = prob.det_value_prob(n, p, d)
             got = Fraction(rep.det_histogram.get(d, 0), rep.total)
             if want != got:
-                return _fail("detdist", f"(n={n}, p={p}, d={d}): formula {want}, counted {got}")
+                yield f"FAIL detdist: (n={n}, p={p}, d={d}): formula {want}, counted {got}"
             total -= want
         if total != prob.q_explicit(n, p, 1):
-            return _fail("detdist", f"(n={n}, p={p}): residue-0 mass {total} != Q {prob.q_explicit(n, p, 1)}")
-        print(f"PASS detdist: (n={n}, p={p}) matches exhaustive histogram")
-    return 0
+            yield f"FAIL detdist: (n={n}, p={p}): residue-0 mass {total} != Q {prob.q_explicit(n, p, 1)}"
+        yield f"PASS detdist: (n={n}, p={p}) matches exhaustive histogram"
 
 
 SUITES = {
@@ -229,12 +220,16 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    _check_grid(args)
-    _parse_plist(args.p_list)
+    _check_grid(args, 1)
+    primes = _parse_plist(args.p_list)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rc = 0
     for name in names:
-        rc |= SUITES[name](args)
+        for line in SUITES[name](primes, args.n_max, args.mu_max):
+            print(line)
+            if line.startswith("FAIL"):
+                rc = 1
+                break
     print("verify: OK" if rc == 0 else "verify: FAILED")
     return rc
 
@@ -361,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -99,6 +99,14 @@ def p_recurrence5(n: int, p: int, mu: int) -> Fraction:
     return z.fraction(row[mu])
 
 
+def p5_table(n_max: int, p: int, mu_max: int) -> list[list[Fraction]]:
+    """table[n][mu] = P(n, p**mu) for n <= n_max, mu <= mu_max, from one
+    bottom-up sweep of the five-term recurrence."""
+    _check_prime(p)
+    z = ZInvP(p)
+    return [[z.fraction(x) for x in row] for row in _p5_rows(n_max, mu_max, z)]
+
+
 def p_recurrence3(n: int, p: int, mu: int) -> Fraction:
     """P(n, p**mu) by the three-term odd-n recurrence
 
@@ -274,9 +282,7 @@ def monotonicity_violation(n_max: int, p: int, mu_max: int) -> tuple[int, int, s
     which side fails ("n" or "mu"); None when both hold everywhere."""
     if n_max < 1 or mu_max < 1:
         raise ValueError("grid bounds must be >= 1")
-    _check_prime(p)
-    z = ZInvP(p)
-    table = [[z.fraction(x) for x in row] for row in _p5_rows(n_max + 1, mu_max + 1, z)]
+    table = p5_table(n_max + 1, p, mu_max + 1)
     for n in range(n_max + 1):
         for mu in range(mu_max + 1):
             here = table[n][mu]

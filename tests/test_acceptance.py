@@ -12,19 +12,10 @@ from fractions import Fraction as F
 import pytest
 
 from symrank.arith import pochhammer, t1_alt, t3_alt, t_beta
-from symrank.genfun import coefficient, gf, series, verify_even_step, verify_functional_eq, verify_odd_step
+from symrank.cli import ORACLE_GRID, SUITES
+from symrank.genfun import coefficient, gf, series
 from symrank.oracle import exhaustive, monte_carlo
-from symrank.prob import (
-    det_value_prob,
-    monotonicity_check,
-    p_explicit,
-    p_recurrence3,
-    p_recurrence5,
-    probability,
-    q_explicit,
-    q_limit,
-    r_term,
-)
+from symrank.prob import p5_table, p_explicit, p_recurrence3, p_recurrence5, probability, q_limit
 from symrank.symmat import (
     CASE1,
     CASE2,
@@ -43,30 +34,31 @@ GRID_PRIMES = (2, 3, 5, 7)
 GRID_N = 30
 GRID_MU = 8
 
-ORACLE_GRID = [
-    (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
-    (2, 9), (2, 12), (3, 2), (3, 3), (3, 4), (4, 2),
-]
-
 
 def all_symmetric(n, m):
     for combo in itertools.product(range(m), repeat=n * (n + 1) // 2):
         yield SymMatrix(n, m, combo)
 
 
+def run_suite(name):
+    """Run one `verify` suite on the acceptance grid; it must yield only PASS lines."""
+    for line in SUITES[name](GRID_PRIMES, GRID_N, GRID_MU):
+        assert line.startswith(f"PASS {name}: "), line
+
+
 def test_criterion_01_crossroute_exactness():
+    run_suite("crossroute")
     for p in GRID_PRIMES:
-        q = F(1, p)
+        table = p5_table(GRID_N, p, GRID_MU)
+        for mu in range(1, GRID_MU + 1):
+            # probability() answers n = 0 without calling a route
+            assert p_recurrence5(0, p, mu) == p_recurrence3(0, p, mu) == coefficient(0, p, mu) == 1
         for n in range(GRID_N + 1):
-            coeffs = series(gf(n, q), GRID_MU)
+            coeffs = series(gf(n, F(1, p)), GRID_MU)
             for mu in range(1, GRID_MU + 1):
-                ref = p_recurrence5(n, p, mu)
-                assert p_recurrence3(n, p, mu) == ref, (n, p, mu)
-                assert coeffs[mu] == ref, (n, p, mu)
-                assert coefficient(n, p, mu) == ref, (n, p, mu)
+                assert coeffs[mu] == table[n][mu], (n, p, mu)
                 if n >= 1:
-                    assert p_explicit(n, p, mu) == ref, (n, p, mu)
-                    assert 1 - q_explicit(n, p, mu) == ref, (n, p, mu)
+                    assert p_explicit(n, p, mu) == table[n][mu], (n, p, mu)
     print(
         "\nPASS criterion 1: recurrence5 = recurrence3 = explicit = genfun "
         f"exactly for n<={GRID_N}, mu<={GRID_MU}, p in {GRID_PRIMES}"
@@ -74,11 +66,8 @@ def test_criterion_01_crossroute_exactness():
 
 
 def test_criterion_02_oracle_equivalence():
-    reports = {}
-    for n, m in ORACLE_GRID:
-        rep = exhaustive(n, m)
-        assert rep.full_rank_fraction == probability(n, m).value_P, (n, m)
-        reports[(n, m)] = rep
+    run_suite("oracle")
+    reports = {(n, m): exhaustive(n, m) for n, m in [(2, 2), (3, 2), (2, 4), (2, 12)]}
     assert reports[(2, 2)].full_rank_count == 4 and reports[(2, 2)].total == 8
     assert reports[(3, 2)].full_rank_count == 28 and reports[(3, 2)].total == 64
     assert reports[(2, 4)].full_rank_count == 44 and reports[(2, 4)].total == 64
@@ -177,20 +166,12 @@ def test_criterion_04_t_beta_identities():
 
 
 def test_criterion_05_remainder_bound():
-    for p in GRID_PRIMES:
-        q = F(1, p)
-        for n in range(1, GRID_N + 1):
-            for mu in range(1, GRID_MU + 1):
-                r = r_term(n, p, mu)
-                assert r >= 0, (n, p, mu)
-                assert r * r < q ** (3 * mu), (n, p, mu)
-                assert (r == 0) == (n // 2 == 0), (n, p, mu)
+    run_suite("bounds")
     print("\nPASS criterion 5: 0 <= R and R^2 < q^(3mu) on the grid, R = 0 iff floor(n/2) = 0")
 
 
 def test_criterion_06_monotonicity():
-    for p in GRID_PRIMES:
-        assert monotonicity_check(GRID_N, p, GRID_MU), p
+    run_suite("monotone")
     print(
         "\nPASS criterion 6: P(n+1,p^mu) <= P(n,p^mu) <= P(n,p^(mu+1)) "
         f"exactly for n<={GRID_N}, mu<={GRID_MU}, p in {GRID_PRIMES}"
@@ -230,24 +211,13 @@ def test_criterion_07_limit_enclosure():
 
 
 def test_criterion_08_det_value_distribution():
-    for n, p in [(1, 3), (2, 3), (2, 5), (3, 3), (1, 2), (2, 2)]:
-        rep = exhaustive(n, p)
-        for d in range(1, p):
-            assert det_value_prob(n, p, d) == F(rep.det_histogram.get(d, 0), rep.total), (n, p, d)
-        assert q_explicit(n, p, 1) == F(rep.det_histogram.get(0, 0), rep.total), (n, p)
-        assert sum(det_value_prob(n, p, d) for d in range(1, p)) + q_explicit(n, p, 1) == 1
-    rep = exhaustive(2, 3)
-    assert rep.det_histogram == {0: 9, 1: 6, 2: 12}
+    run_suite("detdist")
+    assert exhaustive(2, 3).det_histogram == {0: 9, 1: 6, 2: 12}
     print("\nPASS criterion 8: det-value formula = exhaustive histograms, masses sum to 1 exactly")
 
 
 def test_criterion_09_functional_equations():
-    for q in (F(1, 2), F(1, 3), F(1, 5)):
-        for n in range(1, 13):
-            assert verify_functional_eq(n, q), (n, q)
-        for k in range(7):  # covers step relations touching G_0..G_13
-            assert verify_odd_step(k, q), (k, q)
-            assert verify_even_step(k, q), (k, q)
+    run_suite("genfun")
     print("\nPASS criterion 9: functional equation and step identities hold as polynomial identities")
 
 

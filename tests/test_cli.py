@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from symrank import genfun, oracle, prob
 from symrank.cli import dec12, main
 
 
@@ -146,6 +147,8 @@ def test_verify_rejects_bad_p_list(capsys):
         ("verify", "--suite", "crossroute", "--p-list", ""),
         ("verify", "--suite", "crossroute", "--p-list", ","),
         ("verify", "--suite", "crossroute", "--n-max", "-1"),
+        ("verify", "--suite", "bounds", "--n-max", "0"),
+        ("verify", "--suite", "all", "--n-max", "0"),
         ("verify", "--suite", "bounds", "--mu-max", "0"),
         ("table", "--p", "2", "--n-max", "-1", "--mu-max", "1"),
         ("table", "--p", "2", "--n-max", "2", "--mu-max", "0"),
@@ -186,6 +189,45 @@ def test_verify_monotone_violation_exits_1(capsys, monkeypatch):
         assert rc == 1
         assert f"FAIL monotone: {want}" in out
         assert "verify: FAILED" in out
+
+
+# One row per suite: a function the suite calls, patched to lie at a prime or
+# grid point after the first PASS line, and the counterexample FAIL must name.
+FAIL_ROWS = [
+    ("crossroute", prob, "p_recurrence3",
+     lambda f: lambda n, p, mu: f(n, p, mu) + (F(1, 10**9) if p == 3 else 0), "n=1 p=3 mu=1"),
+    ("oracle", oracle, "exhaustive",
+     lambda f: lambda n, m, budget: f(n, 3 if m == 9 else m, budget), "(n=2, m=9)"),
+    ("bounds", prob, "r_term", lambda f: lambda n, p, mu: -1 if p == 3 else f(n, p, mu), "R < 0 at n=1 p=3 mu=1"),
+    ("monotone", prob, "monotonicity_violation",
+     lambda f: lambda n_max, p, mu_max: (3, 2, "n") if p == 3 else f(n_max, p, mu_max), "P(4,3^2) > P(3,3^2)"),
+    ("genfun", genfun, "verify_odd_step", lambda f: lambda k, q: q != F(1, 3) and f(k, q), "k=0 q=1/3"),
+    ("detdist", prob, "det_value_prob",
+     lambda f: lambda n, p, d: f(n, p, d) + (F(1, 10**9) if p == 5 else 0), "(n=2, p=5, d=1)"),
+]
+
+
+@pytest.mark.parametrize("suite,module,name,lie,where", FAIL_ROWS, ids=[r[0] for r in FAIL_ROWS])
+def test_verify_stops_suite_at_first_fail(capsys, monkeypatch, suite, module, name, lie, where):
+    monkeypatch.setattr(module, name, lie(getattr(module, name)))
+    rc, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    lines = out.splitlines()
+    fails = [i for i, line in enumerate(lines) if line.startswith(f"FAIL {suite}")]
+    assert rc == 1
+    assert len(fails) == 1 and where in lines[fails[0]]
+    assert lines[0].startswith(f"PASS {suite}")
+    assert not any(line.startswith(f"PASS {suite}") for line in lines[fails[0]:])
+    assert lines[-1] == "verify: FAILED"
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "monte_carlo", no_memory)
+    rc, out, err = run_cli(capsys, "sample", "--n", "3", "--m", "4", "--trials", "10", "--seed", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_sample_reports_coverage(capsys):

@@ -94,19 +94,6 @@ def test_r_term_values():
     assert (q_explicit(2, 2, 1) * (1 - F(1, 2))) == F(1, 2) * F(3, 4) - r_term(2, 2, 1)
 
 
-def test_r_term_bound_squared():
-    q = F(1, 2)
-    assert r_term(6, 2, 3) ** 2 < q**9
-    for p in PRIMES:
-        q = F(1, p)
-        for n in range(1, 12):
-            for mu in range(1, 6):
-                r = r_term(n, p, mu)
-                assert 0 <= r
-                assert r * r < q ** (3 * mu)
-                assert (r == 0) == (n // 2 == 0)
-
-
 def test_even_odd_bridge():
     # P(2k, p^mu) - P(2k+1, p^mu) = q^(2k+mu) Pi_2k(q)/Pi_k(q^2) T_1(k, s)
     for p in (2, 3, 5):
@@ -117,16 +104,6 @@ def test_even_odd_bridge():
                 gap = p_explicit(2 * k, p, mu) - p_explicit(2 * k + 1, p, mu)
                 want = q ** (2 * k + mu) * pochhammer(2 * k, q) / pochhammer(k, q * q) * t_beta(1, k, s, q)
                 assert gap == want
-
-
-def test_crossroute_equality_small_grid():
-    for p in PRIMES:
-        for n in range(13):
-            for mu in range(1, 6):
-                ref = p_recurrence5(n, p, mu)
-                assert p_recurrence3(n, p, mu) == ref
-                if n >= 1:
-                    assert p_explicit(n, p, mu) == ref
 
 
 def _q(n, m):
