@@ -23,6 +23,7 @@ ORACLE_GRID = [
     (2, 9), (2, 12), (3, 2), (3, 3), (3, 4), (4, 2),
 ]
 DETDIST_GRID = [(1, 3), (2, 3), (2, 5), (3, 3), (1, 2), (2, 2)]
+SWEEPS = {"oracle": ORACLE_GRID, "detdist": DETDIST_GRID}  # the (n, m) each suite enumerates
 
 
 def dec12(x: Fraction) -> str:
@@ -187,7 +188,7 @@ def _suite_genfun(primes, n_max, mu_max):
         table = prob.p5_table(12, p, 12)
         for n in range(13):
             coeffs = genfun.series(genfun.gf(n, Fraction(1, p)), 12)
-            for mu in range(1, 13):
+            for mu in range(13):
                 if coeffs[mu] != table[n][mu]:
                     yield f"FAIL genfun: coefficient mismatch at n={n} p={p} mu={mu}"
     yield "PASS genfun: series coefficients match the recurrence for n<=12, mu<=12, p in {2,3,5}"
@@ -219,10 +220,25 @@ SUITES = {
 }
 
 
+def _check_budget(names: list[str]) -> None:
+    """Refuse up front a run whose largest exhaustive sweep is over budget,
+    which would otherwise stop verify between two PASS lines."""
+    sweeps = [(m ** (n * (n + 1) // 2), n, m) for name in names for n, m in SWEEPS.get(name, ())]
+    if sweeps:
+        total, n, m = max(sweeps)
+        budget = oracle.exhaustive_budget()
+        if total > budget:
+            raise ValueError(
+                f"verify needs an exhaustive sweep of (n={n}, m={m}), {total} matrices, "
+                f"budget is {budget} (override with {oracle.BUDGET_ENV})"
+            )
+
+
 def cmd_verify(args) -> int:
     _check_grid(args, 1)
     primes = _parse_plist(args.p_list)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    _check_budget(names)
     rc = 0
     for name in names:
         for line in SUITES[name](primes, args.n_max, args.mu_max):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -26,6 +27,7 @@ BUDGET_ENV = "SYMRANK_BUDGET"
 Z99 = 2.5758293035489004
 
 CHUNK = 8192  # matrices per batch
+BLOCK = 2**13  # Mersenne Twister words per getrandbits call in _randranges
 INDEX_LIMIT = 2**62  # an exhaustive sweep addresses its matrices by int64 index
 CASES = (CASE1, CASE2, CASE3, CASE4)
 
@@ -329,29 +331,57 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
     return MCEstimate(trials, hits, Fraction(hits, trials), lo, hi, seed, workers)
 
 
+def _randranges(rng: random.Random, m: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each size, an array of the values the next size rng.randrange(m)
+    calls would return, in order (rank_histogram_mc says why they match).
+    Accepted values one size does not use go to the next, and rng may end a
+    block past the last value returned.  An m of more than 32 bits spans
+    several words a try and is drawn one call at a time.
+    """
+    import numpy as np
+
+    k = m.bit_length()
+    spare = np.empty(0, dtype=np.int64)
+    for size in sizes:
+        if k > 32:
+            yield np.array([rng.randrange(m) for _ in range(size)], dtype=np.int64 if m <= 2**63 else object)
+            continue
+        out = np.empty(size, dtype=np.int64)
+        done = min(size, spare.size)
+        out[:done], spare = spare[:done], spare[done:]
+        while done < size:
+            words = np.frombuffer(rng.getrandbits(32 * BLOCK).to_bytes(4 * BLOCK, "little"), "<u4") >> (32 - k)
+            spare = words[words < m]
+            take = min(size - done, spare.size)
+            out[done:done + take], spare = spare[:take], spare[take:]
+            done += take
+        yield out
+
+
 def rank_histogram_mc(n: int, m: int, trials: int, seed: int) -> dict[int, int]:
     """Histogram of m-rank over seeded random samples; the full-rank bin
     frequency is consistent with P(n, m).
 
     Matrix t holds the t-th run of n(n+1)/2 draws of
-    random.Random(seed).randrange(m), the draws random_symmetric makes;
-    chunks of matrices are ranked in one batch."""
+    random.Random(seed).randrange(m), the draws random_symmetric makes.
+    They are drawn in bulk (_randranges): for m < 2**32, CPython's
+    randrange(m) takes one 32-bit Mersenne Twister word w per try and
+    returns w >> (32 - m.bit_length()) once that is below m, and
+    rng.getrandbits(32 * BLOCK) returns the next BLOCK words, first word
+    least significant; so a block shifted and filtered in numpy gives the
+    same values in the same order.  Chunks of matrices are ranked in one
+    batch."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise ValueError("m must be >= 2")
-    import numpy as np
-
-    rng = random.Random(seed)
     factors = factorize(m)
     free = n * (n + 1) // 2
     idx = _triangle_index(n)
-    dtype = np.int64 if m <= 2**63 else object
+    batches = [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
     hist: dict[int, int] = {}
-    for start in range(0, trials, CHUNK):
-        batch = min(CHUNK, trials - start)
-        flat = np.array([rng.randrange(m) for _ in range(batch * free)], dtype=dtype)
+    for batch, flat in zip(batches, _randranges(random.Random(seed), m, [b * free for b in batches])):
         _tally(hist, _det_rank_batch(flat.reshape(batch, free)[:, idx], m, factors)[1])
     return hist

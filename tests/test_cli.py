@@ -162,6 +162,34 @@ def test_empty_grid_exits_2(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "budget,argv,where",
+    [
+        ("100", ("verify", "--suite", "all", "--n-max", "2", "--mu-max", "1", "--p-list", "2"), "(n=3, m=4), 4096 "),
+        ("100", ("verify", "--suite", "oracle"), "(n=3, m=4), 4096 "),
+        ("100", ("verify", "--suite", "detdist"), "(n=3, m=3), 729 "),
+        ("728", ("verify", "--suite", "detdist"), "(n=3, m=3), 729 "),
+    ],
+)
+def test_verify_over_budget_exits_2_before_any_line(capsys, monkeypatch, budget, argv, where):
+    # the largest sweep is checked first, so no suite stops after some PASS lines
+    monkeypatch.setenv("SYMRANK_BUDGET", budget)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert where in err and f"budget is {budget}" in err
+
+
+@pytest.mark.parametrize(
+    "budget,suite",
+    [("0", "crossroute"), ("0", "bounds"), ("0", "monotone"), ("0", "genfun"), ("729", "detdist")],
+)
+def test_verify_runs_suites_within_budget(capsys, monkeypatch, budget, suite):
+    monkeypatch.setenv("SYMRANK_BUDGET", budget)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "2", "--mu-max", "1", "--p-list", "2")
+    assert rc == 0 and out.endswith("verify: OK\n")
+
+
 def test_verify_failure_exits_1_with_counterexample(capsys, monkeypatch):
     import symrank.cli as cli_mod
 

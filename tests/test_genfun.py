@@ -13,7 +13,6 @@ from symrank.genfun import (
     verify_functional_eq,
     verify_odd_step,
 )
-from symrank.prob import p_recurrence5
 
 QS = [F(1, 2), F(1, 3), F(1, 5)]
 # numerators other than 1, so the denominator clearing is exercised
@@ -71,15 +70,6 @@ def test_gf2_matches_brute_forced_values():
     coeffs = series(gf(2, F(1, 2)), 2)
     assert coeffs[1] == F(1, 2)
     assert coeffs[2] == F(11, 16)
-
-
-def test_coefficients_match_recurrence_route():
-    for p in (2, 3, 5):
-        for n in range(13):
-            coeffs = series(gf(n, F(1, p)), 12)
-            assert coeffs[0] == 0
-            for mu in range(1, 13):
-                assert coeffs[mu] == p_recurrence5(n, p, mu), (n, p, mu)
 
 
 def test_series_coefficients_in_unit_interval_and_monotone():

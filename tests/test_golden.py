@@ -41,8 +41,18 @@ GOLDEN = {
     "table --p 2 --n-max 60 --mu-max 10": ("13e96849bbccc3194762b2195ccde88d15e620e25ea2120d68e2cc49ae5110b2", 0),
     "table --p 2 --n-max 60 --mu-max 10 --format json": (
         "7be95bf072513789c2b8252fd0b735bcfa94256a7d89354e3cf24ac13260fb14", 0),
+    "table --p 3 --n-max 60 --mu-max 10": ("2eaa332ac8d0db4475d0d8ac8a36e67d077f6b0e2f0775b7a20a51a79dbda1a4", 0),
+    "table --p 5 --n-max 60 --mu-max 10": ("5f9aef8be7123b2c4c773d0cd1afce068fdb594eb86607d492d3eb799817d173", 0),
+    "table --p 7 --n-max 60 --mu-max 10": ("e857e947f2922fce70edb7272e32a472d9a7d47f202a561155e8babd47ce743f", 0),
+    # one sample per residue tier of the kernel (int32, int64, object), and one with workers > 1
     "sample --n 6 --m 30 --trials 50000 --seed 4242": (
         "a7c6bfa9e4d47a473f216de75f581848bb71ceef6779ae65711af52f89bdc807", 0),
+    "sample --n 4 --m 65537 --trials 2000 --seed 1": (
+        "d245d266c96f4d20792eae2864d28426ab4b0a6d67e586e024149c255d0edf29", 0),
+    "sample --n 3 --m 2147483659 --trials 500 --seed 2": (
+        "3ece621339265e627ba2b10161e2b703434f41bf53aa17d58788d492aedd0f07", 0),
+    "sample --n 3 --m 6 --trials 20000 --seed 99 --workers 3": (
+        "12437db57536ad07a9256e46911b0bfcbd5579749e35d0b7d8323d326ca01699", 0),
     "limit --p 2 --mu 1": ("3ab999ee2374833f8b2088674bd4ecbcc84dc26e41017c01629c380dafc5a05a", 0),
     "detdist --n 2 --p 3 --exhaustive": ("c969c6b9b19569c4195f91499a40d08fb4f7358767a63a8a6470ed14f87b61a3", 0),
     "rank --input pp.txt": ("40d94c81ec8236764ae0d9b8ba381227411338e43a5c6036ca9a83ef61f8aa0c", 0),

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from symrank.arith import factorize
 from symrank.oracle import (
+    BLOCK,
     Z99,
     BudgetExceeded,
     _det_rank_batch,
     _eliminate_batch,
+    _randranges,
     _triangle_index,
     exhaustive,
     exhaustive_budget,
@@ -260,6 +262,33 @@ def test_monte_carlo_pinned_hits(n, m, trials, seed, workers, hits):
 def test_rank_histogram_mc_pinned():
     hist = rank_histogram_mc(10, 9, 10000, 2024)
     assert list(hist.items()) == [(10, 8469), (9, 1496), (8, 35)]
+
+
+# Recorded when every entry was one rng.randrange(m) call: more trials than one
+# CHUNK, a composite m, and both sides of the one-word draw (m < 2**32 <= m').
+@pytest.mark.parametrize(
+    "n,m,trials,seed,items",
+    [
+        (3, 5, 20000, 11, [(3, 15826), (2, 4011), (1, 162), (0, 1)]),
+        (4, 6, 20000, 3, [(4, 15915), (3, 3959), (2, 126)]),
+        (3, 2**32 - 1, 3000, 1, [(3, 3000)]),
+        (2, 2**32, 300, 8, [(2, 300)]),
+    ],
+)
+def test_rank_histogram_mc_pinned_draws(n, m, trials, seed, items):
+    assert list(rank_histogram_mc(n, m, trials, seed).items()) == items
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 9, 2**31 - 1, 2**32 - 1, 2**32])
+def test_randranges_is_the_randrange_stream(m):
+    # fails if the interpreter's randrange stops taking one 32-bit word per try;
+    # chunk sizes that end inside a block, cross one, and carry spare values over
+    sizes = [5, BLOCK // 3, 0, BLOCK + 7, 1]
+    rng = random.Random(m)
+    want = [rng.randrange(m) for _ in range(sum(sizes))]
+    chunks = list(_randranges(random.Random(m), m, sizes))
+    assert [len(c) for c in chunks] == sizes
+    assert [int(x) for c in chunks for x in c] == want
 
 
 def test_rank_histogram_mc_rejects_bad_input():
