@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import math
 import os
-import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -26,8 +25,7 @@ BUDGET_ENV = "SYMRANK_BUDGET"
 # 99% two-sided normal quantile, Phi(z) = 0.995
 Z99 = 2.5758293035489004
 
-CHUNK = 8192  # matrices per batch
-BLOCK = 2**13  # Mersenne Twister words per getrandbits call in _randranges
+CHUNK = 8192  # most matrices per batch
 INDEX_LIMIT = 2**62  # an exhaustive sweep addresses its matrices by int64 index
 CASES = (CASE1, CASE2, CASE3, CASE4)
 
@@ -280,21 +278,7 @@ def _det_rank_batch(mats: np.ndarray, m: int, factors: list[PrimePower]) -> tupl
     return det, rank
 
 
-def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCEstimate:
-    """Estimate P(n, m) from iid uniform symmetric samples with an exact
-    nonsingularity test.
-
-    Each worker w draws its fixed share of the trials from an independent
-    substream (SeedSequence(seed).spawn), so results are identical for a
-    given (seed, trials, workers) regardless of scheduling.  The substreams
-    run one after another in this process: workers changes the stream, not
-    the speed.  Residues come from Generator.integers, which is
-    rejection-based and so exactly uniform.  A sample is full rank iff its
-    determinant is nonzero mod some prime-power factor of m.  The factors
-    are eliminated largest first, and each passes on to the next only the
-    samples it found singular, so most samples of a composite m are
-    eliminated once.
-    """
+def _check_sampling(n: int, m: int, trials: int, workers: int) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
     if trials < 1:
@@ -305,83 +289,66 @@ def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCE
         raise ValueError("m must be <= 2**63: residues are drawn as int64")
     if not 1 <= workers <= trials:
         raise ValueError(f"workers must be between 1 and trials ({trials})")
+
+
+def _samples(n: int, m: int, trials: int, seed: int, workers: int) -> Iterator[np.ndarray]:
+    """The trials uniform symmetric matrices over Z/m of a seeded run, as
+    (B, n, n) int64 batches.
+
+    Each worker w draws its fixed share of the trials from an independent
+    substream (SeedSequence(seed).spawn), so the matrices are fixed by
+    (seed, trials, workers) regardless of scheduling.  The substreams run
+    one after another in this process: workers changes the stream, not the
+    speed.  Residues come from Generator.integers, which is rejection-based
+    and so exactly uniform; each batch takes the next residues of its
+    worker's stream, so the batch size does not change the draws.  A batch
+    holds at most min(CHUNK, 2**20 // n**2) matrices, which bounds it near
+    30 MB of elimination work at any n.
+    """
     import numpy as np
 
     free = n * (n + 1) // 2
     idx = _triangle_index(n)
-    factors = sorted(factorize(m), key=lambda pp: pp.value, reverse=True)
+    size = min(CHUNK, max(1, 2**20 // max(1, n * n)))
     shares = [trials // workers + (1 if w < trials % workers else 0) for w in range(workers)]
-    children = np.random.SeedSequence(seed).spawn(workers)
-    hits = 0
-    for child, share in zip(children, shares):
+    for child, share in zip(np.random.SeedSequence(seed).spawn(workers), shares):
         gen = np.random.Generator(np.random.PCG64(child))
-        left = share
-        while left > 0:
-            batch = min(CHUNK, left)
-            left -= batch
-            flat = gen.integers(0, m, size=(batch, free), dtype=np.int64)
-            mats = flat[:, idx]
-            for pp in factors:
-                full = _eliminate_batch(mats, pp.p, pp.mu)[1] != 0
-                hits += int(np.count_nonzero(full))
-                mats = mats[~full]
-                if not len(mats):
-                    break
+        for start in range(0, share, size):
+            yield gen.integers(0, m, size=(min(size, share - start), free), dtype=np.int64)[:, idx]
+
+
+def monte_carlo(n: int, m: int, trials: int, seed: int, workers: int = 1) -> MCEstimate:
+    """Estimate P(n, m) from iid uniform symmetric samples (_samples, which
+    needs m <= 2**63) with an exact nonsingularity test.
+
+    A sample is full rank iff its determinant is nonzero mod some
+    prime-power factor of m.  The factors are eliminated largest first, and
+    each passes on to the next only the samples it found singular, so most
+    samples of a composite m are eliminated once.
+    """
+    _check_sampling(n, m, trials, workers)
+    import numpy as np
+
+    factors = sorted(factorize(m), key=lambda pp: pp.value, reverse=True)
+    hits = 0
+    for mats in _samples(n, m, trials, seed, workers):
+        for pp in factors:
+            full = _eliminate_batch(mats, pp.p, pp.mu)[1] != 0
+            hits += int(np.count_nonzero(full))
+            mats = mats[~full]
+            if not len(mats):
+                break
     lo, hi = _ci99(hits, trials)
     return MCEstimate(trials, hits, Fraction(hits, trials), lo, hi, seed, workers)
 
 
-def _randranges(rng: random.Random, m: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
-    """For each size, an array of the values the next size rng.randrange(m)
-    calls would return, in order (rank_histogram_mc says why they match).
-    Accepted values one size does not use go to the next, and rng may end a
-    block past the last value returned.  An m of more than 32 bits spans
-    several words a try and is drawn one call at a time.
-    """
-    import numpy as np
-
-    k = m.bit_length()
-    spare = np.empty(0, dtype=np.int64)
-    for size in sizes:
-        if k > 32:
-            yield np.array([rng.randrange(m) for _ in range(size)], dtype=np.int64 if m <= 2**63 else object)
-            continue
-        out = np.empty(size, dtype=np.int64)
-        done = min(size, spare.size)
-        out[:done], spare = spare[:done], spare[done:]
-        while done < size:
-            words = np.frombuffer(rng.getrandbits(32 * BLOCK).to_bytes(4 * BLOCK, "little"), "<u4") >> (32 - k)
-            spare = words[words < m]
-            take = min(size - done, spare.size)
-            out[done:done + take], spare = spare[:take], spare[take:]
-            done += take
-        yield out
-
-
 def rank_histogram_mc(n: int, m: int, trials: int, seed: int) -> dict[int, int]:
-    """Histogram of m-rank over seeded random samples; the full-rank bin
-    frequency is consistent with P(n, m).
-
-    Matrix t holds the t-th run of n(n+1)/2 draws of
-    random.Random(seed).randrange(m), the draws random_symmetric makes.
-    They are drawn in bulk (_randranges): for m < 2**32, CPython's
-    randrange(m) takes one 32-bit Mersenne Twister word w per try and
-    returns w >> (32 - m.bit_length()) once that is below m, and
-    rng.getrandbits(32 * BLOCK) returns the next BLOCK words, first word
-    least significant; so a block shifted and filtered in numpy gives the
-    same values in the same order.  Chunks of matrices are ranked in one
-    batch."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    """Histogram of m-rank over the samples monte_carlo(n, m, trials, seed)
+    draws with one worker, so its full-rank bin n holds exactly that call's
+    hits; keys go in by first occurrence.  m must be <= 2**63."""
+    _check_sampling(n, m, trials, 1)
     factors = factorize(m)
-    free = n * (n + 1) // 2
-    idx = _triangle_index(n)
-    batches = [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
     hist: dict[int, int] = {}
-    for batch, flat in zip(batches, _randranges(random.Random(seed), m, [b * free for b in batches])):
-        _tally(hist, _det_rank_batch(flat.reshape(batch, free)[:, idx], m, factors)[1])
+    for mats in _samples(n, m, trials, seed, 1):
+        _tally(hist, _det_rank_batch(mats, m, factors)[1])
     return hist

@@ -44,6 +44,12 @@ GOLDEN = {
     "table --p 3 --n-max 60 --mu-max 10": ("2eaa332ac8d0db4475d0d8ac8a36e67d077f6b0e2f0775b7a20a51a79dbda1a4", 0),
     "table --p 5 --n-max 60 --mu-max 10": ("5f9aef8be7123b2c4c773d0cd1afce068fdb594eb86607d492d3eb799817d173", 0),
     "table --p 7 --n-max 60 --mu-max 10": ("e857e947f2922fce70edb7272e32a472d9a7d47f202a561155e8babd47ce743f", 0),
+    "table --p 3 --n-max 60 --mu-max 10 --format json": (
+        "3c1fd1e9daa1219ab25c9c3831331a8f790dbd6c7abd41c45b3f25c5496a34f3", 0),
+    "table --p 5 --n-max 60 --mu-max 10 --format json": (
+        "72ee8cde7768ad446d3a4167e01e39a9c4d780c5e95d4052fdfd623d3bec4ea9", 0),
+    "table --p 7 --n-max 60 --mu-max 10 --format json": (
+        "b6cd8446d701407e15776202b59d507a09b99927b47f713c16bf5a71741d5414", 0),
     # one sample per residue tier of the kernel (int32, int64, object), and one with workers > 1
     "sample --n 6 --m 30 --trials 50000 --seed 4242": (
         "a7c6bfa9e4d47a473f216de75f581848bb71ceef6779ae65711af52f89bdc807", 0),

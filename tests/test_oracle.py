@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symrank import oracle
 from symrank.arith import factorize
 from symrank.oracle import (
-    BLOCK,
     Z99,
     BudgetExceeded,
     _det_rank_batch,
     _eliminate_batch,
-    _randranges,
+    _samples,
     _triangle_index,
     exhaustive,
     exhaustive_budget,
@@ -241,7 +242,8 @@ def test_exhaustive_refuses_sweeps_past_int64_indices(monkeypatch):
 # Values recorded before the batch kernel took over: the first three from the
 # per-matrix implementation (m_rank per sample), the rest, which lay inside a
 # Hadamard bound, from a fraction-free int64 determinant.  A hit means det != 0
-# mod m, so no kernel change may move them.
+# mod m, so no kernel change may move them.  rank_histogram_mc ranks the
+# one-worker draws, so its full-rank bin holds the same hits.
 @pytest.mark.parametrize(
     "n,m,trials,seed,workers,hits",
     [
@@ -257,38 +259,53 @@ def test_exhaustive_refuses_sweeps_past_int64_indices(monkeypatch):
 )
 def test_monte_carlo_pinned_hits(n, m, trials, seed, workers, hits):
     assert monte_carlo(n, m, trials, seed, workers).hits == hits
+    if workers == 1:
+        assert rank_histogram_mc(n, m, trials, seed).get(n, 0) == hits
 
 
 def test_rank_histogram_mc_pinned():
+    # the full-rank bin is monte_carlo(10, 9, 10000, 2024, 1).hits
     hist = rank_histogram_mc(10, 9, 10000, 2024)
-    assert list(hist.items()) == [(10, 8469), (9, 1496), (8, 35)]
+    assert list(hist.items()) == [(10, 8505), (9, 1470), (8, 25)]
 
 
-# Recorded when every entry was one rng.randrange(m) call: more trials than one
-# CHUNK, a composite m, and both sides of the one-word draw (m < 2**32 <= m').
+def _draws(n, m, trials, seed, workers):
+    """sha256 of the concatenated batches of _samples, and their sizes."""
+    h, sizes = hashlib.sha256(), []
+    for batch in _samples(n, m, trials, seed, workers):
+        h.update(batch.tobytes())
+        sizes.append(len(batch))
+    return h.hexdigest(), sizes
+
+
 @pytest.mark.parametrize(
-    "n,m,trials,seed,items",
-    [
-        (3, 5, 20000, 11, [(3, 15826), (2, 4011), (1, 162), (0, 1)]),
-        (4, 6, 20000, 3, [(4, 15915), (3, 3959), (2, 126)]),
-        (3, 2**32 - 1, 3000, 1, [(3, 3000)]),
-        (2, 2**32, 300, 8, [(2, 300)]),
-    ],
+    "n,m,trials,seed,workers",
+    [(20, 8, 20000, 7, 2), (6, 30, 50000, 7, 1), (20, 2**40, 3000, 5, 2), (13, 9, 9000, 3, 1)],
 )
-def test_rank_histogram_mc_pinned_draws(n, m, trials, seed, items):
-    assert list(rank_histogram_mc(n, m, trials, seed).items()) == items
+def test_samples_do_not_depend_on_chunk(monkeypatch, n, m, trials, seed, workers):
+    want = _draws(n, m, trials, seed, workers)[0]
+    monkeypatch.setattr(oracle, "CHUNK", 257)
+    got, sizes = _draws(n, m, trials, seed, workers)
+    assert got == want
+    assert max(sizes) == 257 and sum(sizes) == trials
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 9, 2**31 - 1, 2**32 - 1, 2**32])
-def test_randranges_is_the_randrange_stream(m):
-    # fails if the interpreter's randrange stops taking one 32-bit word per try;
-    # chunk sizes that end inside a block, cross one, and carry spare values over
-    sizes = [5, BLOCK // 3, 0, BLOCK + 7, 1]
-    rng = random.Random(m)
-    want = [rng.randrange(m) for _ in range(sum(sizes))]
-    chunks = list(_randranges(random.Random(m), m, sizes))
-    assert [len(c) for c in chunks] == sizes
-    assert [int(x) for c in chunks for x in c] == want
+def test_samples_batches_are_sized_by_n():
+    # 2**20 // 60**2 = 291 matrices of 60 x 60 a batch
+    shapes = [b.shape for b in _samples(60, 2, 1000, 1, 1)]
+    assert all(s[0] <= 291 and s[1:] == (60, 60) for s in shapes)
+    assert sum(s[0] for s in shapes) == 1000
+
+
+def test_sampling_refuses_m_past_int64_before_factorizing(monkeypatch):
+    # factorizing 2**64 + 13 by trial division ran for minutes
+    def fail(m):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(oracle, "factorize", fail)
+    for sampler in (rank_histogram_mc, monte_carlo):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            sampler(2, 2**64 + 13, 50, 4)
 
 
 def test_rank_histogram_mc_rejects_bad_input():
@@ -346,16 +363,22 @@ def test_monte_carlo_degenerate_ci():
     assert est.ci_high == 1.0
 
 
-def test_rank_histogram_mc_matches_exhaustive_distribution():
-    trials = 4000
-    hist = rank_histogram_mc(2, 2, trials, seed=5)
+# Each bin must lie within 6 sigma + 1 of exhaustive's exact count scaled to the
+# trials, a false alarm of about 2e-9 per bin; the seeds were fixed in advance.
+@pytest.mark.parametrize(
+    "n,m,seed",
+    [(2, 2, 5), (4, 3, 11), (3, 4, 12), (3, 6, 13), (2, 12, 14), (5, 2, 15), (3, 8, 16), (2, 9, 17)],
+)
+def test_rank_histogram_mc_matches_exhaustive_distribution(n, m, seed):
+    trials = 20000
+    hist = rank_histogram_mc(n, m, trials, seed)
     assert sum(hist.values()) == trials
-    rep = exhaustive(2, 2)
+    rep = exhaustive(n, m)
+    assert set(hist) <= set(rep.rank_histogram)
     for rank, count in rep.rank_histogram.items():
-        want = count / rep.total
-        got = hist.get(rank, 0) / trials
-        sigma = math.sqrt(want * (1 - want) / trials)
-        assert abs(got - want) < 4 * sigma + 1e-9
+        want = count * trials / rep.total
+        sigma = math.sqrt(want * (1 - count / rep.total))
+        assert abs(hist.get(rank, 0) - want) <= 6 * sigma + 1, (rank, hist, rep.rank_histogram)
 
 
 def test_rank_histogram_mc_full_rank_bin_in_ci():
